@@ -9,13 +9,14 @@ pairs).  The manifest records version, a hash of the effective config,
 the seed, thread count and wall time; everything under "result" is
 byte-identical across runs with the same (config, seed, threads).
 
-Exit codes: 0 success, 1 verify-suite failure, 2 bad configuration,
-3 numerical contract violation.
+Exit codes: 0 success, 1 verify-suite failure, 2 bad configuration (any
+input error), 3 numerical contract violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -63,7 +64,7 @@ def _law_from_arg(value: str) -> walks.IncrementLaw:
     doc = _load_json_arg(value, "$.law")
     try:
         return walks.law_from_json(doc)
-    except (RangeError, ContractError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"$.law: {exc}") from exc
 
 
@@ -81,10 +82,29 @@ def _pointproc_spec_from_arg(value: str) -> pointprocess.PointProcessSpec:
 
 
 def _int_list(text: str, pointer: str) -> list[int]:
+    values = [v for v in text.split(",") if v != ""]
+    if not all(v.strip().isdecimal() for v in values):
+        raise ConfigError(f"{pointer}: expected comma-separated integers >= 0")
+    return [int(v) for v in values]
+
+
+def _coords(text: str, law: walks.IncrementLaw, pointer: str) -> list[int]:
+    """A lattice point of ``law``: exactly d entries, each in [0, q)."""
+    x = _int_list(text, pointer)
+    if len(x) != law.d or any(v >= law.q for v in x):
+        raise ConfigError(
+            f"{pointer}: expected {law.d} coordinates in [0, {law.q}), got {text!r}")
+    return x
+
+
+@contextlib.contextmanager
+def _out_file(path: str):
+    """``path`` open for writing; failing to write it is a $.out error."""
     try:
-        return [int(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{pointer}: expected comma-separated integers") from exc
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"$.out: cannot write {path!r}: {exc}") from exc
 
 
 def _config_hash(payload: dict) -> str:
@@ -112,7 +132,7 @@ def _emit(args, result: dict, t0: float) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     out = getattr(args, "out", None)
     if out and out.endswith(".json"):
-        with open(out, "w", encoding="utf-8") as fh:
+        with _out_file(out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -123,7 +143,7 @@ def _write_complex_csv(path: str, rows: np.ndarray, prefix: str) -> None:
     header = []
     for j in range(rows.shape[1]):
         header += [f"{prefix}{j}_re", f"{prefix}{j}_im"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _out_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -165,9 +185,7 @@ def cmd_green(args, t0):
     spec = law.spectrum()
     g = green.green_exact(spec, args.alpha, materialize=args.row is None)
     if args.row is not None:
-        x = _int_list(args.row, "$.row")
-        if len(x) != law.d:
-            raise ConfigError(f"$.row: expected {law.d} coordinates")
+        x = _coords(args.row, law, "$.row")
         row = g.row(x)
         _emit(args, _with_tol(args, {
             "alpha": args.alpha, "x": x,
@@ -188,7 +206,7 @@ def cmd_green(args, t0):
 
 def cmd_mc_green(args, t0):
     law = _law_from_arg(args.law)
-    x0 = _int_list(args.x0, "$.x0")
+    x0 = _coords(args.x0, law, "$.x0")
     emp = green.green_mc(law, args.alpha, x0, args.n, args.seed,
                          workers=args.threads)
     exact = green.green_exact(law.spectrum(), args.alpha).row(x0)
@@ -422,173 +440,153 @@ def cmd_verify(args, t0):
     return 0 if report["all_pass"] else 1
 
 
-def _add_common(sp, *, seed=False, threads=False, out=False, tol=False):
-    if seed:
-        sp.add_argument("--seed", type=int, required=True,
-                        help="RNG seed (stochastic subcommands require one)")
-    if threads:
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("QFIELD_THREADS", "1")),
-                        help="Monte-Carlo worker count")
-    if out:
-        sp.add_argument("--out", help="output file (.csv or .json)")
-    if tol:
-        sp.add_argument("--tol", type=float,
-                        help="tolerance scale override (default 1.0)")
-    sp.add_argument("--config", help="JSON file of defaults for this subcommand")
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _at_least(low: int):
+    """An argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One option: its flags and the keywords for ``add_argument``."""
+    return flags, kwargs
+
+
+LAW = _opt("--law", required=True, help="law JSON (file or inline)")
+ALPHA = _opt("--alpha", type=_finite, required=True)
+BETA = _opt("--beta", type=_finite, required=True)
+SEED = _opt("--seed", type=_at_least(0), required=True,
+            help="RNG seed (stochastic subcommands require one)")
+SEED0 = _opt("--seed", type=_at_least(0), default=0)
+THREADS = _opt("--threads", type=_at_least(1),
+               default=os.environ.get("QFIELD_THREADS", "1"),
+               help="Monte-Carlo worker count (default $QFIELD_THREADS or 1)")
+MC = _opt("--mc", type=_at_least(0), help="Monte-Carlo sample count")
+Q = _opt("--q", type=_at_least(2), required=True)
+D = _opt("--d", type=_at_least(1), required=True)
+# every subcommand takes these
+COMMON = (_opt("--out", help="output file (.csv or .json)"),
+          _opt("--tol", type=_finite,
+               help="tolerance scale override (default 1.0)"),
+          _opt("--config", help="JSON file of defaults for this subcommand"))
+
+# subcommand -> (help, options); the handler of "mc-green" is cmd_mc_green
+COMMANDS = {
+    "eigen": ("eigenvalues of an increment law", [LAW]),
+    "green": ("exact Green matrix (CSV) or row (JSON)", [
+        LAW, ALPHA, _opt("--row", help="comma-separated start point; row mode")]),
+    "mc-green": ("killed-walk endpoint Monte Carlo", [
+        LAW, ALPHA, _opt("--x0", required=True),
+        _opt("--n", type=_at_least(1), required=True), SEED, THREADS]),
+    "sample-field": ("draw Gaussian fields to CSV", [
+        LAW, ALPHA, _opt("-n", "--n", type=_at_least(1), required=True), SEED,
+        THREADS]),
+    "krawtchouk": ("polynomial values and checks", [
+        Q, D, _opt("--l"), _opt("--m"),
+        _opt("--check", choices=["orthogonality", "duality"]),
+        _opt("--max-degree", type=_at_least(0))]),
+    "kappa": ("grouped eigenvalues of a law", [
+        LAW, _opt("--l", required=True),
+        _opt("--route", choices=["counts", "transform", "both"], default="both")]),
+    "pointproc": ("point-process moments", [
+        _opt("--spec", required=True, help="point-process JSON: alpha, phi, atoms"),
+        _opt("--l", required=True), MC, SEED0, THREADS]),
+    "hamiltonian": ("quadratic-form identity checks", [
+        LAW, ALPHA, _opt("--n-vectors", type=_at_least(1), default=20), SEED]),
+    "partition": ("Jacobian and log partition function", [LAW, ALPHA, BETA]),
+    "potts": ("random-bond spin quantities", [
+        LAW, ALPHA, BETA,
+        _opt("--n", type=_at_least(0), help="field samples for MC estimates"),
+        SEED0, THREADS]),
+    "limit": ("large-dimension residual tables", [
+        _opt("--check", required=True,
+             choices=["hermite", "limit-kraw", "transform", "green-limit",
+                      "field-transform"]),
+        _opt("--q", type=_at_least(2), default=2),
+        _opt("--alpha", type=_finite, default=0.5),
+        MC, SEED0]),
+    "verify": ("run the invariant suite", [Q, D, SEED0]),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become ConfigError, so ``main`` reports them as exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The parser built from COMMANDS, and the subparser of each subcommand."""
+    parser = _Parser(
         prog="qfield",
         description="Spectral walks on Z_q^d, Green functions, Krawtchouk "
                     "count chains, Gaussian fields and partition functions.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eigen", help="eigenvalues of an increment law")
-    sp.add_argument("--law", required=True, help="law JSON (file or inline)")
-    _add_common(sp, out=True, tol=True)
-    sp.set_defaults(func=cmd_eigen)
-
-    sp = sub.add_parser("green", help="exact Green matrix (CSV) or row (JSON)")
-    sp.add_argument("--law", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--row", help="comma-separated start point; row mode")
-    _add_common(sp, out=True, tol=True)
-    sp.set_defaults(func=cmd_green)
-
-    sp = sub.add_parser("mc-green", help="killed-walk endpoint Monte Carlo")
-    sp.add_argument("--law", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp, seed=True, threads=True, out=True, tol=True)
-    sp.set_defaults(func=cmd_mc_green)
-
-    sp = sub.add_parser("sample-field", help="draw Gaussian fields to CSV")
-    sp.add_argument("--law", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("-n", "--n", type=int, required=True)
-    _add_common(sp, seed=True, threads=True, out=True, tol=True)
-    sp.set_defaults(func=cmd_sample_field)
-
-    sp = sub.add_parser("krawtchouk", help="polynomial values and checks")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--l")
-    sp.add_argument("--m")
-    sp.add_argument("--check", choices=["orthogonality", "duality"])
-    sp.add_argument("--max-degree", type=int, default=None)
-    _add_common(sp, out=True, tol=True)
-    sp.set_defaults(func=cmd_krawtchouk)
-
-    sp = sub.add_parser("kappa", help="grouped eigenvalues of a law")
-    sp.add_argument("--law", required=True)
-    sp.add_argument("--l", required=True)
-    sp.add_argument("--route", choices=["counts", "transform", "both"],
-                    default="both")
-    _add_common(sp, out=True, tol=True)
-    sp.set_defaults(func=cmd_kappa)
-
-    sp = sub.add_parser("pointproc", help="point-process moments")
-    sp.add_argument("--spec", required=True,
-                    help="point-process JSON: alpha, phi, atoms")
-    sp.add_argument("--l", required=True)
-    sp.add_argument("--mc", type=int, help="Monte-Carlo sample count")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("QFIELD_THREADS", "1")))
-    sp.add_argument("--out")
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--config")
-    sp.set_defaults(func=cmd_pointproc)
-
-    sp = sub.add_parser("hamiltonian", help="quadratic-form identity checks")
-    sp.add_argument("--law", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--n-vectors", type=int, default=20)
-    _add_common(sp, seed=True, out=True, tol=True)
-    sp.set_defaults(func=cmd_hamiltonian)
-
-    sp = sub.add_parser("partition", help="Jacobian and log partition function")
-    sp.add_argument("--law", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    _add_common(sp, out=True, tol=True)
-    sp.set_defaults(func=cmd_partition)
-
-    sp = sub.add_parser("potts", help="random-bond spin quantities")
-    sp.add_argument("--law", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--n", type=int, help="field samples for MC estimates")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("QFIELD_THREADS", "1")))
-    sp.add_argument("--out")
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--config")
-    sp.set_defaults(func=cmd_potts)
-
-    sp = sub.add_parser("limit", help="large-dimension residual tables")
-    sp.add_argument("--check", required=True,
-                    choices=["hermite", "limit-kraw", "transform",
-                             "green-limit", "field-transform"])
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--mc", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--config")
-    sp.set_defaults(func=cmd_limit)
-
-    sp = sub.add_parser("verify", help="run the invariant suite")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp, out=True, tol=True)
-    sp.set_defaults(func=cmd_verify)
-
-    return parser
+    subparsers = {}
+    for name, (help_text, options) in COMMANDS.items():
+        sp = subparsers[name] = sub.add_parser(name, help=help_text)
+        for flags, kwargs in (*options, *COMMON):
+            sp.add_argument(*flags, **kwargs)
+        # looked up per build, so a rebound cmd_* (e.g. a profiler's) runs
+        sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+    return parser, subparsers
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill options from --config; explicitly passed flags always win."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    doc = _load_json_arg(path, "$.config")
-    explicit = _explicit_flags()
-    for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+def _config_defaults(command: str, path: str) -> dict:
+    """The --config document as subparser defaults, typed and checked like flags."""
+    options = {flags[-1].lstrip("-").replace("-", "_"): kwargs
+               for flags, kwargs in (*COMMANDS[command][1], *COMMON)}
+    defaults = {}
+    for key, value in _load_json_arg(path, "$.config").items():
+        dest = key.replace("-", "_")
+        if dest not in options:
             raise ConfigError(f"$.config.{key}: unknown option")
-        if attr not in explicit:
-            setattr(args, attr, value)
-    return args
-
-
-def _explicit_flags() -> set[str]:
-    flags = set()
-    for token in sys.argv[1:]:
-        if token.startswith("-") and not token[1:2].isdigit():
-            flags.add(token.lstrip("-").split("=")[0].replace("-", "_"))
-    return flags
+        kwargs = options[dest]
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            value = kwargs.get("type", str)(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"$.config.{key}: {exc}") from None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            raise ConfigError(
+                f"$.config.{key}: {value!r} is not one of {kwargs['choices']}")
+        defaults[dest] = value
+    return defaults
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    t0 = time.monotonic()
+    parser, subparsers = build_parser()
     try:
-        args = _merge_config(args)
+        args = parser.parse_args(argv)
+        t0 = time.monotonic()
+        if args.config:
+            # config values become defaults; parsing argv again lets flags win
+            subparsers[args.command].set_defaults(
+                **_config_defaults(args.command, args.config))
+            args = parser.parse_args(argv)
         return args.func(args, t0)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
-    except (RangeError, ShapeError) as exc:
+    except (ConfigError, RangeError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
     except (KernelError, KappaError, ContractError, ReversibilityError) as exc:
@@ -597,4 +595,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

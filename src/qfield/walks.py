@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,6 +62,8 @@ def _check_pmf(p, q: int, where: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (q,):
         raise RangeError(f"{where}: pmf must have length {q}, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise RangeError(f"{where}: pmf has non-finite entries")
     if np.any(p < 0):
         raise RangeError(f"{where}: pmf has negative mass")
     if abs(p.sum() - 1.0) > PMF_TOL:
@@ -239,7 +242,7 @@ class DeFinettiMixtureLaw(IncrementLaw):
         self.pmfs = np.atleast_2d(np.asarray(self.pmfs, dtype=float))
         if self.weights.ndim != 1 or len(self.weights) != len(self.pmfs):
             raise RangeError("weights and pmfs must have matching lengths")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):
             raise RangeError("mixture weights must be positive")
         if abs(self.weights.sum() - 1.0) > PMF_TOL:
             raise RangeError(f"mixture weights sum to {self.weights.sum()!r}")
@@ -298,12 +301,7 @@ class SparseExchangeableLaw(IncrementLaw):
     def __post_init__(self):
         if not 1 <= self.c <= self.d:
             raise RangeError(f"need 1 <= c <= d, got c={self.c}, d={self.d}")
-        self.joint = np.asarray(self.joint, dtype=float)
-        n = size(self.q, self.c) if self.c > 1 else self.q
-        if self.joint.shape != (n,):
-            raise RangeError(f"joint pmf must have length {n}")
-        if np.any(self.joint < 0) or abs(self.joint.sum() - 1.0) > PMF_TOL:
-            raise RangeError("joint pmf must be a probability vector")
+        self.joint = _check_pmf(self.joint, size(self.q, self.c), "joint pmf")
         if not self._joint_exchangeable():
             raise ContractError("joint pmf must be exchangeable in its c slots")
 
@@ -410,8 +408,19 @@ _VARIANTS = {
 }
 
 
+def _check_int(value, where: str, low: int | None = None) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise RangeError(f"{where} must be an integer{bound}, got {value!r}")
+
+
 def law_from_json(doc: dict | str) -> IncrementLaw:
-    """Rebuild a law from its JSON document (see each law's ``to_json``)."""
+    """Rebuild a law from its JSON document (see each law's ``to_json``).
+
+    ``q`` >= 2, ``d`` >= 1, ``c`` >= 1 and the ``shift`` entries must be
+    integers.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
@@ -421,6 +430,11 @@ def law_from_json(doc: dict | str) -> IncrementLaw:
     if variant not in _VARIANTS:
         raise RangeError(
             f"unknown law variant {variant!r}; expected one of {sorted(_VARIANTS)}")
+    for key, low in (("q", 2), ("d", 1), ("c", 1)):
+        if key in doc:
+            _check_int(doc[key], f"law field {key!r}", low)
+    for value in doc.get("shift", ()):
+        _check_int(value, "law field 'shift' entry")
     try:
         return _VARIANTS[variant](doc)
     except KeyError as missing:

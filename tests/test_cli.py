@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qfield import cli
 
 LAZY_LAW = json.dumps({
     "variant": "definetti_mixture", "q": 2, "d": 2,
@@ -213,3 +219,128 @@ def test_numerical_contract_exits_3():
                    "-n", "2", "--seed", "0", "--out", "/dev/null")
     assert proc.returncode == 3
     assert "reversib" in proc.stderr.lower() or "real" in proc.stderr.lower()
+
+
+def run_main(argv):
+    """Call ``cli.main`` in process; return (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+UNIFORM_22 = json.dumps({"variant": "uniform", "q": 2, "d": 2})
+MC_ARGS = ["--n", "100", "--seed", "1"]
+
+
+def law_with(**fields):
+    return json.dumps({"variant": "uniform", "q": 2, "d": 2, **fields})
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--law", UNIFORM_22, "--alpha", "0.5", "--row", "0,3"],
+    ["mc-green", "--law", UNIFORM_22, "--alpha", "0.5", "--x0", "0,5", *MC_ARGS],
+    ["mc-green", "--law", UNIFORM_22, "--alpha", "0.5", "--x0", "0", *MC_ARGS],
+    ["partition", "--law", UNIFORM_22, "--alpha", "0.5", "--beta", "nan"],
+    ["mc-green", "--law", UNIFORM_22, "--alpha", "0.5", "--x0", "0,0",
+     *MC_ARGS, "--threads", "0"],
+    ["hamiltonian", "--law", UNIFORM_22, "--alpha", "0.5", "--seed", "1",
+     "--config", '{"n_vectors": "x"}'],
+    ["kappa", "--law", UNIFORM_22, "--l", "1", "--config", '{"route": "nope"}'],
+    ["eigen", "--law", law_with(q="2")],
+    ["eigen", "--law", law_with(q=2.0)],
+    ["eigen", "--law", law_with(q=None)],
+    ["eigen", "--law", law_with(variant="deterministic", shift=[1, "a"])],
+    ["eigen", "--law", law_with(variant="product_iid", pmf=["a", 1])],
+    ["eigen", "--law", UNIFORM_22, "--out", "/nonexistent/dir/x.json"],
+    ["sample-field", "--law", UNIFORM_22, "--alpha", "0.5", "-n", "0",
+     "--seed", "1", "--out", "/dev/null"],
+    ["mc-green", "--law", UNIFORM_22, "--alpha", "0.5", "--x0", "0,0",
+     "--n", "100", "--seed", "-1"],
+    ["hamiltonian", "--law", UNIFORM_22, "--alpha", "0.5", "--seed", "1",
+     "--n-vectors", "-1"],
+    ["potts", "--law", UNIFORM_22, "--alpha", "0.5", "--beta", "0.3",
+     "--n", "-2"],
+    ["limit", "--check", "hermite", "--q", "0"],
+    ["krawtchouk", "--q", "0", "--d", "3", "--check", "orthogonality"],
+    ["kappa", "--law", UNIFORM_22, "--l", "-1"],
+], ids=["row-out-of-range", "x0-out-of-range", "x0-short", "beta-nan",
+        "threads-0", "config-type", "config-choice", "q-string", "q-float",
+        "q-null", "shift-string", "pmf-string", "out-unwritable",
+        "samples-0", "seed-negative", "n-vectors-negative", "potts-n-negative",
+        "limit-q-0", "krawtchouk-q-0", "degree-negative"])
+def test_hostile_input_exits_2(argv):
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert "config error:" in err
+
+
+def test_explicit_flag_beats_config_in_process():
+    code, out, _ = run_main(
+        ["hamiltonian", "--law", UNIFORM_22, "--alpha", "0.3", "--seed", "1",
+         "--config", '{"alpha": 0.5, "n_vectors": 3}'])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["alpha"] == 0.3
+    assert result["n_vectors"] == 3
+
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=True),
+                       st.text(max_size=2)), max_size=5))
+
+
+@st.composite
+def _law_doc(draw):
+    """A well-formed law document with at most one field broken or dropped.
+
+    q <= 4 and d <= 3, and junk integers stay in [-3, 3], so every shape
+    that passes validation has q^d <= 64.
+    """
+    q, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    pmf = [1.0 / q] * q
+    doc = {"variant": draw(st.sampled_from(
+               ["uniform", "deterministic", "product_iid",
+                "definetti_mixture", "sparse_exchangeable"])),
+           "q": q, "d": d, "c": 1, "pmf": pmf, "joint_pmf": pmf,
+           "shift": draw(st.lists(st.integers(0, q - 1), min_size=d,
+                                  max_size=d)),
+           "components": [{"weight": 1.0, "pmf": pmf}]}
+    key = draw(st.sampled_from([None, "variant", "q", "d", "c", "pmf",
+                                "joint_pmf", "shift", "components", "weight"]))
+    if key == "weight":
+        doc["components"][0]["weight"] = draw(_junk)
+    elif key is not None and draw(st.booleans()):
+        del doc[key]
+    elif key is not None:
+        doc[key] = draw(_junk)
+    return doc
+
+
+_alpha = st.one_of(st.floats(0, 0.95).map(repr), st.sampled_from(
+    ["nan", "inf", "-inf", "-0.5", "1", "1.5", "x", ""]))
+# worker counts stay tiny: the fuzz must never ask for many threads
+_threads = st.sampled_from(["1", "2", "0", "-1", "x", "", "1.5", "nan"])
+_point = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+        lambda x: ",".join(map(str, x))),
+    st.text(alphabet="0123-,x ", max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["eigen", "green", "mc-green"]), law=_law_doc(),
+       alpha=_alpha, point=_point, threads=_threads)
+def test_fuzz_exit_codes(command, law, alpha, point, threads):
+    argv = [command, "--law", json.dumps(law)]
+    if command == "green":
+        argv += ["--alpha", alpha, "--row", point]
+    elif command == "mc-green":
+        argv += ["--alpha", alpha, "--x0", point, "--n", "50", "--seed", "0",
+                 "--threads", threads]
+    code, _, err = run_main(argv)
+    assert code in (0, 2, 3), err

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,23 @@ def test_law_json_errors():
         walks.law_from_json({"variant": "nope", "q": 2, "d": 1})
     with pytest.raises(lattice.RangeError):
         walks.law_from_json({"variant": "uniform"})
+
+
+@pytest.mark.parametrize("doc", [
+    {"variant": "uniform", "q": "2", "d": 1},
+    {"variant": "uniform", "q": 2.0, "d": 1},
+    {"variant": "deterministic", "q": 0, "d": 1, "shift": [0]},
+    {"variant": "deterministic", "q": 2, "d": 2, "shift": [1, 1.5]},
+    {"variant": "product_iid", "q": 2, "d": 1, "pmf": [math.nan, 1.0]},
+    {"variant": "definetti_mixture", "q": 2, "d": 1,
+     "components": [{"weight": math.nan, "pmf": [0.5, 0.5]}]},
+    {"variant": "sparse_exchangeable", "q": 2, "d": 2, "c": 1,
+     "joint_pmf": [math.nan, 1.0]},
+], ids=["q-string", "q-float", "q-zero", "shift-float", "pmf-nan",
+        "weight-nan", "joint-nan"])
+def test_law_json_rejects_malformed_fields(doc):
+    with pytest.raises(lattice.RangeError):
+        walks.law_from_json(doc)
 
 
 def test_deterministic_full_cycle_returns():
