@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-lattice       index arithmetic, roots of unity, unitary axis-factored DFT
+lattice       index arithmetic, roots of unity, unitary FFT-backed DFT
 walks         increment laws, eigenvalues, kernels, killed simulation
 green         killed-walk Green operators, resolvent, torus truncations
 krawtchouk    multivariate Krawtchouk polynomials and the count chain

@@ -113,7 +113,10 @@ def _config_hash(payload: dict) -> str:
 
 
 def _spectrum_hash(spec: walks.Spectrum) -> str:
-    return hashlib.sha256(np.round(spec.rho, 12).tobytes()).hexdigest()[:16]
+    # + 0.0 folds -0.0 into 0.0, so imaginary noise that rounds to zero
+    # hashes the same whatever its sign
+    rounded = np.round(spec.rho, 12) + 0.0
+    return hashlib.sha256(rounded.tobytes()).hexdigest()[:16]
 
 
 def _emit(args, result: dict, t0: float) -> None:
@@ -305,6 +308,9 @@ def cmd_pointproc(args, t0):
 
 
 def cmd_hamiltonian(args, t0):
+    if args.alpha == 0.0:
+        # the identity divides by alpha; 0 is a bad input, not a crash
+        raise ConfigError("$.alpha: hamiltonian needs alpha in (0, 1), got 0")
     law = _law_from_arg(args.law)
     spec = law.spectrum()
     rng = np.random.default_rng(args.seed)
@@ -434,8 +440,11 @@ def cmd_limit(args, t0):
 
 
 def cmd_verify(args, t0):
+    if args.tol is not None and args.tol <= 0:
+        raise ConfigError(
+            f"$.tol: verify needs a tolerance scale > 0, got {args.tol}")
     report = verify.run_suite(args.q, args.d, seed=args.seed,
-                              tol_scale=args.tol or 1.0)
+                              tol_scale=1.0 if args.tol is None else args.tol)
     _emit(args, report, t0)
     return 0 if report["all_pass"] else 1
 
@@ -521,7 +530,9 @@ COMMANDS = {
                       "field-transform"]),
         _opt("--q", type=_at_least(2), default=2),
         _opt("--alpha", type=_finite, default=0.5),
-        MC, SEED0]),
+        _opt("--mc", type=_at_least(1),
+             help="Monte-Carlo sample count (default 200000)"),
+        SEED0]),
     "verify": ("run the invariant suite", [Q, D, SEED0]),
 }
 

@@ -284,6 +284,8 @@ def kappa_route_transform(law: IncrementLaw, l) -> complex:
 
     q = law.q
     l = tuple(int(v) for v in l)
+    if len(l) != q - 1 or any(v < 0 for v in l):
+        raise RangeError(f"l must be a length-{q - 1} nonnegative degree index")
     if isinstance(law, UniformLaw):
         atoms, weights = [xi_transform(np.full(q, 1.0 / q))], [1.0]
     elif isinstance(law, ProductIIDLaw):

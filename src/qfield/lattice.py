@@ -11,15 +11,12 @@ The discrete Fourier transform used throughout is the unitary one,
     forward:  c[r] = q^(-d/2) * sum_x f[x] * theta^(-x.r)
     inverse:  f[x] = q^(-d/2) * sum_r c[r] * theta^(x.r)
 
-with theta = exp(2*pi*i/q), implemented as d successive length-q
-transforms (one per axis).  A naive O(q^{2d}) double-sum path is kept
-as a test oracle.
+with theta = exp(2*pi*i/q), computed by one ``np.fft.fftn``/``ifftn``
+call (``norm="ortho"``) over the d lattice axes.  A naive O(q^{2d})
+double-sum path is kept as a test oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,28 +63,11 @@ def all_states(q: int, d: int) -> np.ndarray:
     return (i // q ** np.arange(d, dtype=np.int64)[None, :]) % q
 
 
-@dataclass(frozen=True)
-class RootTable:
-    """Powers of the primitive q-th root of unity theta = exp(2*pi*i/q)."""
-
-    q: int
-    powers: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise RangeError(f"need q >= 2, got {self.q}")
-        if self.powers is None:
-            p = np.exp(2j * np.pi * np.arange(self.q) / self.q)
-            object.__setattr__(self, "powers", p)
-
-    def power(self, k: int) -> complex:
-        """theta ** k for any integer k (reduced mod q)."""
-        return self.powers[k % self.q]
-
-
 def roots(q: int) -> np.ndarray:
-    """theta^j for j = 0..q-1."""
-    return RootTable(q).powers
+    """theta^j for j = 0..q-1, theta = exp(2*pi*i/q)."""
+    if q < 2:
+        raise RangeError(f"need q >= 2, got {q}")
+    return np.exp(2j * np.pi * np.arange(q) / q)
 
 
 def axis_tensor(vectors: list[np.ndarray]) -> np.ndarray:
@@ -98,35 +78,24 @@ def axis_tensor(vectors: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
-@lru_cache(maxsize=8)
-def _axis_matrix(q: int, inverse: bool) -> np.ndarray:
-    # read-only and cached: sweeps over many q reuse each matrix ~10x
-    j = np.arange(q)
-    sign = 1.0 if inverse else -1.0
-    m = np.exp(sign * 2j * np.pi * np.outer(j, j) / q) / np.sqrt(q)
-    m.flags.writeable = False
-    return m
-
-
 def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
-    """Unitary DFT over the lattice, factored axis by axis.
+    """Unitary DFT over the lattice.
 
     ``values`` may carry leading batch dimensions; the transform acts on
-    the last axis, which must have length q**d.  Cost O(d * q^(d+1)) per
-    batch element.
+    the last axis, which must have length q**d.  Cost O(q^d * d * log q)
+    per batch element.
     """
     f = np.asarray(values, dtype=complex)
     n = size(q, d)
     if f.shape[-1] != n:
         raise ShapeError(f"last axis has length {f.shape[-1]}, expected {n}")
     batch = f.shape[:-1]
-    work = f.reshape(batch + (q,) * d)
-    m = _axis_matrix(q, inverse)
-    for _ in range(d):
-        # transform the last lattice axis, then rotate it to the front
-        # of the lattice block so every axis gets one pass
-        work = np.moveaxis(work @ m.T, -1, len(batch))
-    return work.reshape(batch + (n,))
+    # the reshape puts x[d-1] on the first lattice axis; x.r, and so the
+    # transform over all d axes, does not depend on the axis order
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    axes = tuple(range(len(batch), len(batch) + d))
+    return transform(f.reshape(batch + (q,) * d), axes=axes,
+                     norm="ortho").reshape(batch + (n,))
 
 
 def dft_naive(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
@@ -136,7 +105,7 @@ def dft_naive(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     if f.shape[-1] != n:
         raise ShapeError(f"last axis has length {f.shape[-1]}, expected {n}")
     states = all_states(q, d)
-    cross = states @ states.T  # x . r as integers
+    cross = (states @ states.T) % q  # x . r mod q: exact phases at large q
     sign = 1.0 if inverse else -1.0
     w = np.exp(sign * 2j * np.pi * cross / q) / q ** (d / 2.0)
     return f @ w.T

@@ -73,18 +73,14 @@ def _check_pmf(p, q: int, where: str) -> np.ndarray:
 
 def xi_transform(p: np.ndarray) -> np.ndarray:
     """xi[k] = sum_j theta^(k*j) p[j]; xi[0] = 1."""
-    from .lattice import _axis_matrix
-
     q = len(p)
-    return math.sqrt(q) * (_axis_matrix(q, True) @ np.asarray(p, dtype=float))
+    return dft(np.asarray(p, dtype=float), q, 1, inverse=True) * math.sqrt(q)
 
 
 def pmf_from_xi(xi: np.ndarray) -> np.ndarray:
     """Inverse of :func:`xi_transform`: p[j] = q^-1 sum_k theta^(-k*j) xi[k]."""
     q = len(xi)
-    k = np.arange(q)
-    p = np.exp(-2j * np.pi * np.outer(k, k) / q) @ np.asarray(xi, dtype=complex) / q
-    return p.real
+    return (dft(xi, q, 1) / math.sqrt(q)).real
 
 
 @dataclass

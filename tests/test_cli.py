@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfield import cli
+from qfield import cli, walks
 
 LAZY_LAW = json.dumps({
     "variant": "definetti_mixture", "q": 2, "d": 2,
@@ -267,15 +268,27 @@ def law_with(**fields):
     ["limit", "--check", "hermite", "--q", "0"],
     ["krawtchouk", "--q", "0", "--d", "3", "--check", "orthogonality"],
     ["kappa", "--law", UNIFORM_22, "--l", "-1"],
+    ["hamiltonian", "--law", UNIFORM_22, "--alpha", "0", "--seed", "1"],
+    ["verify", "--q", "2", "--d", "1", "--tol", "0"],
+    ["verify", "--q", "2", "--d", "1", "--tol", "-1"],
+    ["limit", "--check", "transform", "--mc", "0"],
 ], ids=["row-out-of-range", "x0-out-of-range", "x0-short", "beta-nan",
         "threads-0", "config-type", "config-choice", "q-string", "q-float",
         "q-null", "shift-string", "pmf-string", "out-unwritable",
         "samples-0", "seed-negative", "n-vectors-negative", "potts-n-negative",
-        "limit-q-0", "krawtchouk-q-0", "degree-negative"])
+        "limit-q-0", "krawtchouk-q-0", "degree-negative", "hamiltonian-alpha-0",
+        "verify-tol-0", "verify-tol-negative", "limit-mc-0"])
 def test_hostile_input_exits_2(argv):
     code, _, err = run_main(argv)
     assert code == 2
     assert "config error:" in err
+
+
+def test_spectrum_hash_ignores_signed_zero_noise():
+    rho = np.array([1.0, 0.5, 0.5, 0.0], dtype=complex)
+    plus = walks.Spectrum(rho + 1e-17j, 2, 2)
+    minus = walks.Spectrum(rho - 1e-17j, 2, 2)
+    assert cli._spectrum_hash(plus) == cli._spectrum_hash(minus)
 
 
 def test_explicit_flag_beats_config_in_process():
@@ -296,8 +309,9 @@ _junk = st.one_of(
 
 
 @st.composite
-def _law_doc(draw):
-    """A well-formed law document with at most one field broken or dropped.
+def _law_doc(draw, broken=True):
+    """A well-formed law document; when ``broken``, at most one field is
+    broken or dropped.
 
     q <= 4 and d <= 3, and junk integers stay in [-3, 3], so every shape
     that passes validation has q^d <= 64.
@@ -312,7 +326,8 @@ def _law_doc(draw):
                                   max_size=d)),
            "components": [{"weight": 1.0, "pmf": pmf}]}
     key = draw(st.sampled_from([None, "variant", "q", "d", "c", "pmf",
-                                "joint_pmf", "shift", "components", "weight"]))
+                                "joint_pmf", "shift", "components", "weight"])) \
+        if broken else None
     if key == "weight":
         doc["components"][0]["weight"] = draw(_junk)
     elif key is not None and draw(st.booleans()):
@@ -342,5 +357,115 @@ def test_fuzz_exit_codes(command, law, alpha, point, threads):
     elif command == "mc-green":
         argv += ["--alpha", alpha, "--x0", point, "--n", "50", "--seed", "0",
                  "--threads", threads]
+    code, _, err = run_main(argv)
+    assert code in (0, 2, 3), err
+
+
+@st.composite
+def _spec_doc(draw, broken=True):
+    """A point-process spec; when ``broken``, at most one field is broken
+    or dropped."""
+    q = draw(st.integers(2, 4))
+    atom = {"pmf": [1.0 / q] * q, "weight": 1.0}
+    doc = {"alpha": 0.5, "phi": 1.0, "atoms": [atom]}
+    key = draw(st.sampled_from([None, "alpha", "phi", "atoms", "pmf", "weight"])) \
+        if broken else None
+    target = atom if key in ("pmf", "weight") else doc
+    if key is not None and draw(st.booleans()):
+        del target[key]
+    elif key is not None:
+        target[key] = draw(_junk)
+    return doc
+
+
+def _degrees(q):
+    """A valid --l: q - 1 small non-negative degrees."""
+    return st.lists(st.integers(0, 2), min_size=q - 1, max_size=q - 1).map(
+        lambda l: ",".join(map(str, l)))
+
+
+# no hostile value is a large integer: counts stay <= 1000, threads <= 2
+# and lattices q^d <= 64 whichever option it lands on.  Boundary values
+# come first because hypothesis draws early elements more often.
+_hostile = st.sampled_from(["0", "-1", "", "nan", "inf", "-inf", "x", "1.5",
+                            "1e400", "0,1", "-0", "{"])
+
+
+@st.composite
+def _other_argv(draw):
+    """Valid argv for one of the nine subcommands the fuzz above leaves out,
+    then at most one option dropped or replaced by a hostile value."""
+    command = draw(st.sampled_from(
+        ["sample-field", "krawtchouk", "kappa", "pointproc", "hamiltonian",
+         "partition", "potts", "limit", "verify"]))
+    seed = st.integers(0, 99).map(str)
+    threads = st.sampled_from(["1", "2"])
+    alpha = st.floats(0.05, 0.95).map(repr)
+    count = st.integers(1, 20).map(str)
+    opts = {}
+    if command in ("sample-field", "kappa", "hamiltonian", "partition", "potts"):
+        law = draw(_law_doc(broken=False))
+        opts["--law"] = json.dumps(law)
+    if command in ("sample-field", "hamiltonian", "partition", "potts", "limit"):
+        opts["--alpha"] = draw(alpha)
+    if command in ("partition", "potts"):
+        opts["--beta"] = draw(st.floats(0.05, 1).map(repr))
+    if command in ("sample-field", "hamiltonian", "pointproc", "potts", "limit",
+                   "verify"):
+        opts["--seed"] = draw(seed)
+    if command in ("sample-field", "pointproc", "potts"):
+        opts["--threads"] = draw(threads)
+    if command == "sample-field":
+        opts.update({"-n": draw(count), "--out": os.devnull})
+    elif command == "krawtchouk":
+        q = draw(st.integers(2, 4))
+        m = draw(st.lists(st.integers(0, 1), min_size=q, max_size=q).filter(
+            lambda m: 1 <= sum(m) <= 3))
+        opts.update({"--q": str(q), "--d": str(sum(m))})
+        if draw(st.booleans()):
+            opts.update({"--check": draw(st.sampled_from(["orthogonality",
+                                                          "duality"])),
+                         "--max-degree": draw(st.integers(0, 3).map(str))})
+        else:
+            opts.update({"--l": draw(_degrees(q)), "--m": ",".join(map(str, m))})
+    elif command == "kappa":
+        opts.update({"--l": draw(_degrees(law["q"])), "--route": draw(
+            st.sampled_from(["counts", "transform", "both"]))})
+    elif command == "pointproc":
+        spec = draw(_spec_doc(broken=False))
+        opts.update({"--spec": json.dumps(spec),
+                     "--l": draw(_degrees(len(spec["atoms"][0]["pmf"]))),
+                     "--mc": draw(st.integers(0, 1000).map(str))})
+    elif command == "hamiltonian":
+        opts["--n-vectors"] = draw(count)
+    elif command == "potts":
+        opts["--n"] = draw(st.integers(0, 20).map(str))
+    elif command == "limit":
+        opts.update({"--check": draw(st.sampled_from(
+                         ["hermite", "limit-kraw", "transform", "green-limit",
+                          "field-transform"])),
+                     "--q": draw(st.integers(2, 4).map(str)),
+                     "--mc": draw(st.integers(1, 1000).map(str))})
+    elif command == "verify":
+        q, d = draw(st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 1), (4, 3)]))
+        opts.update({"--q": str(q), "--d": str(d),
+                     "--tol": draw(st.floats(0.5, 2).map(repr))})
+    # --out is never replaced (a hostile value would be a file name) and
+    # --mc never dropped (limit would fall back to 200000 samples)
+    victim = draw(st.sampled_from([*(k for k in opts if k != "--out"), None]))
+    if victim == "--law":
+        opts[victim] = json.dumps(draw(_law_doc()))
+    elif victim == "--spec":
+        opts[victim] = json.dumps(draw(_spec_doc()))
+    elif victim not in (None, "--mc") and draw(st.integers(0, 3)) == 0:
+        del opts[victim]
+    elif victim is not None:
+        opts[victim] = draw(_hostile)
+    return [command, *(v for item in opts.items() for v in item)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_other_argv())
+def test_fuzz_exit_codes_other_subcommands(argv):
     code, _, err = run_main(argv)
     assert code in (0, 2, 3), err

@@ -39,12 +39,11 @@ def test_all_states_matches_unrank():
 
 def test_root_table_invariants():
     for q in (2, 3, 5, 8):
-        table = lattice.RootTable(q)
-        assert np.max(np.abs(np.abs(table.powers) - 1.0)) < 1e-14
-        assert abs(table.power(q) - 1.0) < 1e-14
+        powers = lattice.roots(q)
+        assert np.max(np.abs(np.abs(powers) - 1.0)) < 1e-14
         # geometric sum: sum_j theta^(jk) = q * delta_{k mod q, 0}
         for k in range(2 * q):
-            s = np.sum(table.powers ** k)
+            s = np.sum(powers ** k)
             expected = q if k % q == 0 else 0.0
             assert abs(s - expected) < 1e-12
 
@@ -76,6 +75,22 @@ def test_dft_matches_naive_oracle():
     fast = lattice.dft(f, 3, 3)
     slow = lattice.dft_naive(f, 3, 3)
     assert np.max(np.abs(fast - slow)) < 1e-11
+
+
+@pytest.mark.parametrize("q", [1024, 2048])
+def test_dft_matches_naive_oracle_at_large_q(q):
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    # theta^(j*k) looked up at the integer (j*k) mod q: exact to rounding,
+    # where exp(2*pi*i*j*k/q) of the unreduced product is not
+    k = np.arange(q)
+    phases = lattice.roots(q)[np.outer(k, k) % q]
+    for inverse in (False, True):
+        fast = lattice.dft(f, q, 1, inverse=inverse)
+        slow = lattice.dft_naive(f, q, 1, inverse=inverse)
+        exact = (phases if inverse else phases.conj()) @ f / np.sqrt(q)
+        assert np.max(np.abs(fast - slow)) < 1e-13
+        assert np.max(np.abs(slow - exact)) < 1e-13
 
 
 @settings(max_examples=20, deadline=None)
