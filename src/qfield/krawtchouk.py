@@ -10,9 +10,10 @@ inverse squared norms h_l^-1 = d!/((d-|l|)! prod l[k]!) are computed in
 integer arithmetic.
 
 These polynomials diagonalize the type-count chain of walks with
-exchangeable increments: grouped eigenvalues kappa_l come either from
-counts (route A, h_l E[Q_l(counts of V)]) or from transforms (route B,
-E[prod_k xi[k]^l[k]]) and the t-step count kernel is
+exchangeable increments.  Grouped eigenvalues kappa_l come from the law
+in one of two ways: route A sums h_l P(m) Q_l(m) over the law's
+``count_law()``, route B integrates ``walks.xi_powers`` (prod_k
+xi[k]^l[k]) over its ``mixing_measure()``.  The t-step count kernel is
 
     p(n; d) * (1 + sum_{0<|l|<=d} kappa_l^t h_l Q_l(m) conj(Q_l(n))).
 """
@@ -26,15 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import RangeError, all_states, roots
-from .walks import (
-    ContractError,
-    DeFinettiMixtureLaw,
-    DeterministicLaw,
-    IncrementLaw,
-    ProductIIDLaw,
-    SparseExchangeableLaw,
-    UniformLaw,
-)
+from .walks import (ContractError, IncrementLaw, _check_degree, xi_powers,
+                    xi_transform)
 
 
 class KappaError(ValueError):
@@ -80,11 +74,9 @@ def krawtchouk(m, l, q: int) -> complex:
     bound and return 0 (with a warning).
     """
     m = np.asarray(m, dtype=np.int64)
-    l = tuple(int(v) for v in l)
     if m.shape != (q,) or np.any(m < 0):
         raise RangeError(f"m must be a length-{q} nonnegative count vector")
-    if len(l) != q - 1 or any(v < 0 for v in l):
-        raise RangeError(f"l must be a length-{q - 1} nonnegative degree index")
+    l = _check_degree(l, q)
     if sum(l) > int(m.sum()):
         warnings.warn(f"degree |l|={sum(l)} exceeds |m|={int(m.sum())}; "
                       "coefficient is 0", stacklevel=2)
@@ -223,87 +215,19 @@ def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float
     return worst
 
 
-def _component_kappa_by_counts(p: np.ndarray, l, q: int, d: int) -> complex:
-    """E[Q_l(M)] with M ~ Multinomial(d, p), by full enumeration."""
-    acc = 0.0 + 0.0j
-    logf_d = math.lgamma(d + 1)
-    for m in count_vectors(q, d):
-        logw = logf_d
-        ok = True
-        for mj, pj in zip(m, p):
-            if mj and pj == 0.0:
-                ok = False
-                break
-            logw -= math.lgamma(mj + 1)
-            logw += mj * math.log(pj) if mj else 0.0
-        if not ok:
-            continue
-        acc += math.exp(logw) * krawtchouk(m, l, q)
-    return acc
-
-
 def kappa_route_counts(law: IncrementLaw, l) -> complex:
-    """Route A: kappa_l = h_l E[Q_l(type counts of V)], by enumeration."""
-    if not law.is_exchangeable():
-        raise ContractError("kappa requires an exchangeable increment law")
-    q, d = law.q, law.d
-    h_l = 1.0 / scale_constant_inv(l, d)
-    if isinstance(law, UniformLaw):
-        mean = _component_kappa_by_counts(np.full(q, 1.0 / q), l, q, d)
-    elif isinstance(law, DeterministicLaw):
-        m = np.zeros(q, dtype=np.int64)
-        m[law.shift[0]] = d
-        mean = krawtchouk(m, l, q)
-    elif isinstance(law, ProductIIDLaw):
-        mean = _component_kappa_by_counts(law.p, l, q, d)
-    elif isinstance(law, DeFinettiMixtureLaw):
-        mean = sum(w * _component_kappa_by_counts(p, l, q, d)
-                   for w, p in zip(law.weights, law.pmfs))
-    elif isinstance(law, SparseExchangeableLaw):
-        # counts of V = counts over the c special slots + uniform rest
-        c = law.c
-        mean = 0.0 + 0.0j
-        rest = {mu: multinomial_pmf(mu, d - c, q)
-                for mu in count_vectors(q, d - c)} if d > c \
-            else {tuple([0] * q): 1.0}
-        states = all_states(q, c) if c > 1 else np.arange(q)[:, None]
-        for idx, prob in enumerate(law.joint):
-            if prob == 0.0:
-                continue
-            mv = np.bincount(states[idx], minlength=q)
-            for mu, wu in rest.items():
-                mean += prob * wu * krawtchouk(mv + np.array(mu), l, q)
-    else:
-        raise ContractError(f"no counts route for {type(law).__name__}")
+    """Route A: kappa_l = h_l sum_m P(counts of V = m) Q_l(m)."""
+    h_l = 1.0 / scale_constant_inv(l, law.d)
+    mean = sum(prob * krawtchouk(m, l, law.q)
+               for m, prob in law.count_law().items())
     return complex(h_l * mean)
 
 
 def kappa_route_transform(law: IncrementLaw, l) -> complex:
     """Route B: kappa_l = E[prod_k xi[k]^l[k]] over the mixing measure."""
-    from .walks import xi_transform
-
-    q = law.q
-    l = tuple(int(v) for v in l)
-    if len(l) != q - 1 or any(v < 0 for v in l):
-        raise RangeError(f"l must be a length-{q - 1} nonnegative degree index")
-    if isinstance(law, UniformLaw):
-        atoms, weights = [xi_transform(np.full(q, 1.0 / q))], [1.0]
-    elif isinstance(law, ProductIIDLaw):
-        atoms, weights = [xi_transform(law.p)], [1.0]
-    elif isinstance(law, DeFinettiMixtureLaw):
-        atoms, weights = list(law.xi_atoms()), list(law.weights)
-    elif isinstance(law, DeterministicLaw) and law.is_exchangeable():
-        p = np.zeros(q)
-        p[law.shift[0]] = 1.0
-        atoms, weights = [xi_transform(p)], [1.0]
-    else:
-        raise ContractError(
-            "transform route needs conditionally-i.i.d. entries "
-            f"(got {type(law).__name__})")
-    acc = 0.0 + 0.0j
-    for w, xi in zip(weights, atoms):
-        acc += w * np.prod([xi[k] ** l[k - 1] for k in range(1, q)])
-    return complex(acc)
+    weights, pmfs = law.mixing_measure()
+    xi = np.stack([xi_transform(p) for p in pmfs])
+    return complex(weights @ xi_powers(xi, l))
 
 
 def kappa_from_law(law: IncrementLaw, l, route: str = "transform") -> complex:

@@ -25,7 +25,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .green import green_eigenvalues
-from .krawtchouk import degree_indices, krawtchouk, log_scale_constant_inv
+from .krawtchouk import (count_vectors, degree_indices, krawtchouk,
+                         log_scale_constant_inv)
 from .lattice import RangeError, roots
 from .pointprocess import PointProcessSpec, y_moment
 from .walks import ContractError
@@ -153,25 +154,11 @@ def _hermite_expansion_coeffs(l, q: int) -> list[tuple[tuple[int, ...], complex]
         denom *= math.factorial(v)
     l_as_counts = (0,) + l  # degree index reused as a count vector over q types
     out = []
-    for a in _compositions(s, q):
+    for a in count_vectors(q, s):
         a_plus = a[1:]
         coeff = krawtchouk(np.array(l_as_counts), a_plus, q) / denom
         if coeff != 0:
             out.append((a, complex(coeff)))
-    return out
-
-
-def _compositions(total: int, slots: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix, remaining, left):
-        if left == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, left - 1)
-
-    rec([], total, slots)
     return out
 
 
@@ -415,7 +402,7 @@ def transform_field_cov_series(omega, psi, spec: PointProcessSpec,
         acc += term
     tail = 0.0
     for extra in (max_degree + 1, max_degree + 2):
-        for l in _compositions(extra, spec.q - 1):
+        for l in count_vectors(spec.q - 1, extra):
             t = 1.0
             for k, v in enumerate(l):
                 t *= abs(u[k]) ** v / math.factorial(v)
@@ -446,7 +433,7 @@ def transform_field_cov_closed(omega, psi, spec: PointProcessSpec,
     while mass < 1.0 - mass_eps:
         p_t = (1.0 - alpha) * alpha**t
         inner = 0.0 + 0.0j
-        for comp in _compositions(t, n_atoms):
+        for comp in count_vectors(n_atoms, t):
             logm = math.lgamma(t + 1)
             ok = True
             for c_a, w_a in zip(comp, weights):

@@ -19,6 +19,7 @@ construction); both estimate the same moments.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +27,8 @@ import numpy as np
 
 from . import _mc
 from .lattice import RangeError
-from .walks import DeFinettiMixtureLaw, KillingLaw, pmf_from_xi, xi_transform
+from .walks import (IncrementLaw, KillingLaw, _check_degree, _check_pmf,
+                    pmf_from_xi, xi_powers, xi_transform)
 
 
 @dataclass
@@ -38,11 +40,10 @@ class XiAtom:
     xi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.pmf = np.asarray(self.pmf, dtype=float)
-        if np.any(self.pmf < 0) or abs(self.pmf.sum() - 1.0) > 1e-12:
-            raise RangeError("atom pmf must be a probability vector")
-        if self.weight < 0:
-            raise RangeError("atom weight must be nonnegative")
+        self.pmf = _check_pmf(self.pmf, len(self.pmf), "atom")
+        if not 0 <= self.weight < math.inf:
+            raise RangeError(
+                f"atom weight must be finite and nonnegative, got {self.weight}")
         self.xi = xi_transform(self.pmf)
         if np.max(np.abs(pmf_from_xi(self.xi) - self.pmf)) > 1e-12:
             raise RangeError("xi <-> pmf round trip failed")
@@ -57,10 +58,7 @@ class PointProcessSpec:
     phi: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise RangeError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.phi <= 0:
-            raise RangeError("phi must be positive")
+        self.killing()
         total = sum(a.weight for a in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise RangeError(f"atom weights sum to {total!r}, not 1")
@@ -79,10 +77,11 @@ class PointProcessSpec:
         return KillingLaw(self.alpha, self.phi if phi is None else phi)
 
 
-def spec_from_mixture(law: DeFinettiMixtureLaw, alpha: float,
+def spec_from_mixture(law: IncrementLaw, alpha: float,
                       phi: float = 1.0) -> PointProcessSpec:
     """Point process driven by the mixing measure of a de Finetti walk."""
-    atoms = [XiAtom(p, float(w)) for w, p in zip(law.weights, law.pmfs)]
+    weights, pmfs = law.mixing_measure()
+    atoms = [XiAtom(p, float(w)) for w, p in zip(weights, pmfs)]
     return PointProcessSpec(alpha, atoms, phi)
 
 
@@ -93,19 +92,9 @@ def lazy_spec(q: int, alpha: float, gammas, weights=None,
     return spec_from_mixture(lazy_walk(q, 1, gammas, weights), alpha, phi)
 
 
-def _check_degree(spec: PointProcessSpec, l) -> tuple[int, ...]:
-    l = tuple(int(v) for v in l)
-    if len(l) != spec.q - 1 or any(v < 0 for v in l):
-        raise RangeError(f"l must be a length-{spec.q - 1} nonnegative index")
-    return l
-
-
 def kappa(spec: PointProcessSpec, l) -> complex:
     """kappa_l = sum_atoms w * prod_k xi[k]^l[k]."""
-    l = _check_degree(spec, l)
-    xi = spec.xi_matrix()
-    powers = np.prod(xi[:, 1:] ** np.array(l)[None, :], axis=1)
-    return complex(spec.weights() @ powers)
+    return complex(spec.weights() @ xi_powers(spec.xi_matrix(), l))
 
 
 def y_moment(spec: PointProcessSpec, l) -> complex:
@@ -145,9 +134,7 @@ def y_moment_mc(spec: PointProcessSpec, l, n_samples: int, seed: int,
     prod_k xi_b[k]^l[k] over its horizon; atoms enter only through their
     per-epoch factor, so the horizon splits multinomially.
     """
-    l = _check_degree(spec, l)
-    xi = spec.xi_matrix()
-    factors = np.prod(xi[:, 1:] ** np.array(l)[None, :], axis=1)
+    factors = xi_powers(spec.xi_matrix(), l)
 
     def draw(rng, m):
         counts = _horizon_atom_counts(spec, rng, m, spec.phi)
@@ -167,7 +154,7 @@ def y_moment_mc_points(spec: PointProcessSpec, l, n_samples: int, seed: int,
     slot ("blocks": consecutive; "interleave": round robin); any disjoint
     assignment gives the same law, which is the point of the check.
     """
-    l = _check_degree(spec, l)
+    l = _check_degree(l, spec.q)
     if scheme not in ("blocks", "interleave"):
         raise RangeError(f"unknown partition scheme {scheme!r}")
     q = spec.q
@@ -208,20 +195,24 @@ def y_moment_mc_points(spec: PointProcessSpec, l, n_samples: int, seed: int,
     return _mc.mean_and_stderr(samples)
 
 
-def log_laplace(spec: PointProcessSpec, varphi) -> float:
-    """Joint Laplace transform of (-log|Y[k]|) at nonnegative varphi.
-
-    [1 + alpha/(1-alpha) sum_atoms w (1 - prod_k |xi[k]|^varphi_k)]^-phi;
-    |xi[k]| = 0 with varphi_k > 0 contributes a zero factor, not an error.
-    """
+def _laplace_factors(spec: PointProcessSpec, varphi) -> np.ndarray:
+    """prod_k |xi[k]|^varphi_k per atom; |xi[k]| = 0 with varphi_k > 0
+    contributes a zero factor, not an error."""
     varphi = np.asarray(varphi, dtype=float)
     if varphi.shape != (spec.q - 1,) or np.any(varphi < 0):
         raise RangeError(f"varphi must be length {spec.q - 1}, nonnegative")
     mags = np.abs(spec.xi_matrix()[:, 1:])
     with np.errstate(divide="ignore"):
-        prods = np.prod(np.where((mags == 0) & (varphi[None, :] > 0), 0.0,
-                                 mags ** varphi[None, :]), axis=1)
-    mean_defect = spec.weights() @ (1.0 - prods)
+        return np.prod(np.where((mags == 0) & (varphi[None, :] > 0), 0.0,
+                                mags ** varphi[None, :]), axis=1)
+
+
+def log_laplace(spec: PointProcessSpec, varphi) -> float:
+    """Joint Laplace transform of (-log|Y[k]|) at nonnegative varphi.
+
+    [1 + alpha/(1-alpha) sum_atoms w (1 - prod_k |xi[k]|^varphi_k)]^-phi.
+    """
+    mean_defect = spec.weights() @ (1.0 - _laplace_factors(spec, varphi))
     return float((1.0 + spec.alpha / (1.0 - spec.alpha) * mean_defect)
                  ** (-spec.phi))
 
@@ -229,10 +220,7 @@ def log_laplace(spec: PointProcessSpec, varphi) -> float:
 def log_laplace_mc(spec: PointProcessSpec, varphi, n_samples: int, seed: int,
                    workers: int = 1) -> tuple[float, float]:
     """Monte-Carlo companion of :func:`log_laplace`."""
-    varphi = np.asarray(varphi, dtype=float)
-    mags = np.abs(spec.xi_matrix()[:, 1:])
-    factors = np.prod(np.where((mags == 0) & (varphi[None, :] > 0), 0.0,
-                               mags ** varphi[None, :]), axis=1)
+    factors = _laplace_factors(spec, varphi)
 
     def draw(rng, m):
         counts = _horizon_atom_counts(spec, rng, m, spec.phi)

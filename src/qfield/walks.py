@@ -18,6 +18,16 @@ SparseExchangeableLaw c positions get an exchangeable joint pmf on Z_q^c,
                       the rest are i.i.d. uniform; rho[r] vanishes when r
                       has more than c nonzero entries.
 
+Exchangeable laws also carry the two inputs of the grouped eigenvalues
+kappa_l.  ``mixing_measure()`` is the de Finetti measure (weights, pmfs):
+the entries of V are i.i.d. pmfs[i] given component i, and route B
+integrates ``xi_powers`` over it.  ``count_law()`` is the law of the type
+counts of V; the base class builds it as the multinomial mixture of the
+mixing measure, the sparse law convolves its c special slots with the
+uniform rest, and route A averages h_l Q_l over it.  A law with no
+mixing measure raises ContractError from ``mixing_measure``, and from
+``count_law`` unless it overrides it.
+
 ``lazy_walk`` builds the canonical symmetric test family: hold with
 probability 1-gamma, step +-1 otherwise, gamma mixed over finitely many
 atoms.
@@ -83,6 +93,19 @@ def pmf_from_xi(xi: np.ndarray) -> np.ndarray:
     return (dft(xi, q, 1) / math.sqrt(q)).real
 
 
+def _check_degree(l, q: int) -> tuple[int, ...]:
+    l = tuple(int(v) for v in l)
+    if len(l) != q - 1 or any(v < 0 for v in l):
+        raise RangeError(f"l must be a length-{q - 1} nonnegative degree index")
+    return l
+
+
+def xi_powers(xi: np.ndarray, l) -> np.ndarray:
+    """prod_k xi[k]^l[k] over k = 1..q-1, one value per row of ``xi``."""
+    l = _check_degree(l, xi.shape[1])
+    return np.prod(xi[:, 1:] ** np.array(l)[None, :], axis=1)
+
+
 @dataclass
 class Spectrum:
     """Walk eigenvalues rho[r] over the lattice, with reality/bound flags."""
@@ -136,6 +159,32 @@ class IncrementLaw:
     def is_exchangeable(self) -> bool:
         return False
 
+    def mixing_measure(self) -> tuple[np.ndarray, np.ndarray]:
+        """de Finetti measure: (weights, (n, q) pmfs) such that the entries
+        of V are i.i.d. pmfs[i] given component i drawn with weights[i]."""
+        raise ContractError(
+            f"{type(self).__name__} entries are not conditionally i.i.d.: "
+            "no de Finetti mixing measure")
+
+    def count_law(self) -> dict[tuple[int, ...], float]:
+        """P(type counts of V = m) over the count vectors m it charges.
+
+        The multinomial mixture of :meth:`mixing_measure`, so it raises
+        ContractError where that does.
+        """
+        from .krawtchouk import count_vectors
+
+        weights, pmfs = self.mixing_measure()
+        counts = np.array(count_vectors(self.q, self.d))
+        log_coef = np.array([math.lgamma(self.d + 1)
+                             - sum(math.lgamma(v + 1) for v in m) for m in counts])
+        log_p = np.log(np.where(pmfs > 0, pmfs, 1.0))
+        impossible = ((counts[:, None, :] > 0) & (pmfs[None] == 0)).any(axis=2)
+        mass = np.where(impossible, 0.0,
+                        np.exp(log_coef[:, None] + counts @ log_p.T)) @ weights
+        return {tuple(int(v) for v in m): float(p)
+                for m, p in zip(counts, mass) if p > 0}
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -159,6 +208,9 @@ class UniformLaw(IncrementLaw):
 
     def is_exchangeable(self):
         return True
+
+    def mixing_measure(self):
+        return np.ones(1), np.full((1, self.q), 1.0 / self.q)
 
     def to_json(self):
         return {"variant": "uniform", "q": self.q, "d": self.d}
@@ -190,6 +242,13 @@ class DeterministicLaw(IncrementLaw):
     def is_exchangeable(self):
         return len(set(self.shift)) <= 1
 
+    def mixing_measure(self):
+        if not self.is_exchangeable():
+            return super().mixing_measure()
+        p = np.zeros((1, self.q))
+        p[0, self.shift[0]] = 1.0
+        return np.ones(1), p
+
     def to_json(self):
         return {"variant": "deterministic", "q": self.q, "d": self.d,
                 "shift": list(self.shift)}
@@ -219,6 +278,9 @@ class ProductIIDLaw(IncrementLaw):
     def is_exchangeable(self):
         return True
 
+    def mixing_measure(self):
+        return np.ones(1), self.p[None, :]
+
     def to_json(self):
         return {"variant": "product_iid", "q": self.q, "d": self.d,
                 "pmf": self.p.tolist()}
@@ -245,14 +307,10 @@ class DeFinettiMixtureLaw(IncrementLaw):
         for i, p in enumerate(self.pmfs):
             _check_pmf(p, self.q, f"component {i}")
 
-    def xi_atoms(self) -> np.ndarray:
-        """(n_components, q) array of component transforms."""
-        return np.stack([xi_transform(p) for p in self.pmfs])
-
     def spectrum(self) -> Spectrum:
         rho = np.zeros(size(self.q, self.d), dtype=complex)
-        for w, xi in zip(self.weights, self.xi_atoms()):
-            rho += w * axis_tensor([xi] * self.d)
+        for w, p in zip(self.weights, self.pmfs):
+            rho += w * axis_tensor([xi_transform(p)] * self.d)
         return Spectrum(rho, self.q, self.d)
 
     def sample(self, rng, n):
@@ -272,6 +330,9 @@ class DeFinettiMixtureLaw(IncrementLaw):
 
     def is_exchangeable(self):
         return True
+
+    def mixing_measure(self):
+        return self.weights, self.pmfs
 
     def to_json(self):
         return {
@@ -356,6 +417,22 @@ class SparseExchangeableLaw(IncrementLaw):
 
     def is_exchangeable(self):
         return True
+
+    def count_law(self):
+        """Counts over the c special slots plus multinomial uniform rest."""
+        from .krawtchouk import count_vectors, multinomial_pmf
+
+        rest = [(np.array(mu), multinomial_pmf(mu, self.d - self.c, self.q))
+                for mu in count_vectors(self.q, self.d - self.c)]
+        out: dict[tuple[int, ...], float] = {}
+        for slots, prob in zip(all_states(self.q, self.c), self.joint):
+            if prob == 0.0:
+                continue
+            special = np.bincount(slots, minlength=self.q)
+            for mu, w in rest:
+                m = tuple(int(v) for v in special + mu)
+                out[m] = out.get(m, 0.0) + prob * w
+        return out
 
     def to_json(self):
         return {"variant": "sparse_exchangeable", "q": self.q, "d": self.d,
@@ -485,8 +562,8 @@ class KillingLaw:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise RangeError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.phi <= 0:
-            raise RangeError(f"phi must be positive, got {self.phi}")
+        if not (0 < self.phi < math.inf):
+            raise RangeError(f"phi must be finite and positive, got {self.phi}")
 
     def pmf(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.int64)

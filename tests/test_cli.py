@@ -272,16 +272,27 @@ def law_with(**fields):
     ["verify", "--q", "2", "--d", "1", "--tol", "0"],
     ["verify", "--q", "2", "--d", "1", "--tol", "-1"],
     ["limit", "--check", "transform", "--mc", "0"],
+    ["pointproc", "--l", "1", "--spec",
+     '{"alpha": 0.5, "atoms": [{"pmf": [NaN, 0.5], "weight": 1.0}]}'],
+    ["pointproc", "--l", "1", "--spec",
+     '{"alpha": 0.5, "atoms": [{"pmf": [0.5, 0.5], "weight": NaN}]}'],
+    ["pointproc", "--l", "1", "--spec",
+     '{"alpha": 0.5, "phi": NaN, "atoms": [{"pmf": [0.5, 0.5], "weight": 1.0}]}'],
+    ["pointproc", "--l", "1", "--spec", '{"alpha": 0.5, "phi": Infinity, '
+     '"atoms": [{"pmf": [0.5, 0.5], "weight": 1.0}]}'],
 ], ids=["row-out-of-range", "x0-out-of-range", "x0-short", "beta-nan",
         "threads-0", "config-type", "config-choice", "q-string", "q-float",
         "q-null", "shift-string", "pmf-string", "out-unwritable",
         "samples-0", "seed-negative", "n-vectors-negative", "potts-n-negative",
         "limit-q-0", "krawtchouk-q-0", "degree-negative", "hamiltonian-alpha-0",
-        "verify-tol-0", "verify-tol-negative", "limit-mc-0"])
+        "verify-tol-0", "verify-tol-negative", "limit-mc-0", "spec-pmf-nan",
+        "spec-weight-nan", "spec-phi-nan", "spec-phi-inf"])
 def test_hostile_input_exits_2(argv):
     code, _, err = run_main(argv)
     assert code == 2
     assert "config error:" in err
+    if argv[0] == "pointproc":
+        assert "$.spec" in err
 
 
 def test_spectrum_hash_ignores_signed_zero_noise():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qfield import hamiltonian, lattice, walks
 from qfield import krawtchouk as kw
-from qfield import lattice, walks
 
 
 def test_q2_linear_polynomial():
@@ -182,3 +182,57 @@ def test_table_lookup_consistency():
         for m in tab.counts[:6]:
             assert tab.value(l, m) == kw.krawtchouk(m, l, 3)
         assert abs(tab.h(l) - 1.0 / kw.scale_constant_inv(l, 4)) < 1e-15
+
+
+@pytest.mark.parametrize("law", [
+    *(walks.builtin_law(f, 3, 3) for f in walks.BUILTIN_FAMILIES),
+    walks.lazy_walk(2, 4, [0.3, 0.7]),
+], ids=lambda law: f"{type(law).__name__}-q{law.q}-d{law.d}")
+def test_count_law_matches_lumped_pmf(law):
+    counts, classes = kw.state_type_counts(law.q, law.d)
+    oracle = np.bincount(classes, weights=law.pmf(), minlength=len(counts))
+    got = law.count_law()
+    assert set(got) <= set(counts)
+    assert max(abs(got.get(m, 0.0) - p) for m, p in zip(counts, oracle)) < 1e-14
+
+
+class TiltedPairLaw(walks.IncrementLaw):
+    """Entries i.i.d. p or i.i.d. reversed p, each with probability 1/2;
+    defined here from the interface alone."""
+
+    def __init__(self, q, d, p):
+        self.q, self.d = q, d
+        self.pmfs = np.array([p, p[::-1]], dtype=float)
+
+    def mixing_measure(self):
+        return np.array([0.5, 0.5]), self.pmfs
+
+    def spectrum(self):
+        return walks.Spectrum(sum(
+            0.5 * lattice.axis_tensor([walks.xi_transform(p)] * self.d)
+            for p in self.pmfs), self.q, self.d)
+
+    def sample(self, rng, n):
+        comp = rng.integers(0, 2, size=n)
+        return np.stack([rng.choice(self.q, size=self.d, p=self.pmfs[c])
+                         for c in comp])
+
+    def pmf(self):
+        return sum(0.5 * lattice.axis_tensor([p] * self.d).real
+                   for p in self.pmfs)
+
+    def is_exchangeable(self):
+        return True
+
+
+def test_new_law_is_one_class():
+    q, d = 3, 3
+    law = TiltedPairLaw(q, d, [0.5, 0.3, 0.2])
+    kap = {}
+    for l in kw.degree_indices(q, d):
+        kap[l] = kw.kappa_route_counts(law, l)
+        assert abs(kap[l] - kw.kappa_route_transform(law, l)) < 1e-12
+    kernel, _ = kw.count_chain_kernel(kap, q, d, 2)
+    p2 = np.linalg.matrix_power(walks.transition_matrix(law.spectrum()), 2)
+    assert np.max(np.abs(kernel - kw.lump_by_type(p2, q, d))) < 1e-9
+    assert hamiltonian.grouping_identity_residual(law, 0.6) < 1e-10

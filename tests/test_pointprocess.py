@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfield import green, krawtchouk, pointprocess as pp, walks
+from qfield import green, krawtchouk, lattice, pointprocess as pp, walks
 
 
 def test_xi_atom_round_trip_and_bounds():
@@ -128,3 +128,19 @@ def test_spec_validation():
         pp.PointProcessSpec(1.0, [pp.XiAtom([1.0, 0.0], 1.0)])
     with pytest.raises(Exception):
         pp.PointProcessSpec(0.5, [pp.XiAtom([1.0, 0.0], 0.5)])  # weights != 1
+
+
+def test_log_laplace_and_mc_share_varphi_checks():
+    spec = pp.lazy_spec(3, 0.5, [0.2, 0.5], [0.4, 0.6])
+    for varphi in ([0.5], [-1.0, -2.0]):
+        with pytest.raises(lattice.RangeError):
+            pp.log_laplace(spec, varphi)
+        with pytest.raises(lattice.RangeError):
+            pp.log_laplace_mc(spec, varphi, 100, seed=1)
+
+
+def test_spec_from_any_law_with_a_mixing_measure():
+    law = walks.ProductIIDLaw(3, 2, p=[0.5, 0.3, 0.2])
+    spec = pp.spec_from_mixture(law, 0.5)
+    for l in krawtchouk.degree_indices(3, 2):
+        assert abs(pp.kappa(spec, l) - krawtchouk.kappa_route_counts(law, l)) < 1e-14

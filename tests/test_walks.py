@@ -200,6 +200,9 @@ def test_killing_law_validation():
         walks.KillingLaw(1.0)
     with pytest.raises(lattice.RangeError):
         walks.KillingLaw(0.5, phi=0.0)
+    for phi in (math.nan, math.inf):
+        with pytest.raises(lattice.RangeError):
+            walks.KillingLaw(0.5, phi=phi)
 
 
 def test_ct_eigenvalues_semigroup_and_limits():
@@ -253,3 +256,24 @@ def test_xi_transform_round_trip():
         xi = walks.xi_transform(np.array(p))
         assert abs(xi[0] - 1.0) < 1e-14
         assert np.max(np.abs(walks.pmf_from_xi(xi) - p)) < 1e-12
+
+
+MIXED_LAWS = [walks.builtin_law(f, 3, 3) for f in walks.BUILTIN_FAMILIES
+              if f != "sparse_exchangeable"]
+
+
+@pytest.mark.parametrize("law", MIXED_LAWS, ids=lambda law: type(law).__name__)
+def test_mixing_measure_reproduces_spectrum(law):
+    weights, pmfs = law.mixing_measure()
+    rho = sum(w * lattice.axis_tensor([walks.xi_transform(p)] * law.d)
+              for w, p in zip(weights, pmfs))
+    assert np.max(np.abs(rho - law.spectrum().rho)) < 1e-14
+
+
+@pytest.mark.parametrize("law", [
+    walks.builtin_law("sparse_exchangeable", 3, 3),
+    walks.DeterministicLaw(3, 2, (1, 2)),
+], ids=["sparse", "deterministic-non-exchangeable"])
+def test_mixing_measure_refused_without_de_finetti_form(law):
+    with pytest.raises(walks.ContractError):
+        law.mixing_measure()
