@@ -473,6 +473,18 @@ def _at_least(low: int):
     return parse
 
 
+def _mc_count(text: str) -> int:
+    """An argparse type: 0 (no Monte Carlo) or a sample count >= 2.
+
+    One sample has no standard error.
+    """
+    value = _at_least(0)(text)
+    if value == 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 0 (no Monte Carlo) or an integer >= 2, got {text!r}")
+    return value
+
+
 def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     """One option: its flags and the keywords for ``add_argument``."""
     return flags, kwargs
@@ -487,7 +499,7 @@ SEED0 = _opt("--seed", type=_at_least(0), default=0)
 THREADS = _opt("--threads", type=_at_least(1),
                default=os.environ.get("QFIELD_THREADS", "1"),
                help="Monte-Carlo worker count (default $QFIELD_THREADS or 1)")
-MC = _opt("--mc", type=_at_least(0), help="Monte-Carlo sample count")
+MC = _opt("--mc", type=_mc_count, help="Monte-Carlo sample count")
 Q = _opt("--q", type=_at_least(2), required=True)
 D = _opt("--d", type=_at_least(1), required=True)
 # every subcommand takes these
@@ -522,7 +534,7 @@ COMMANDS = {
     "partition": ("Jacobian and log partition function", [LAW, ALPHA, BETA]),
     "potts": ("random-bond spin quantities", [
         LAW, ALPHA, BETA,
-        _opt("--n", type=_at_least(0), help="field samples for MC estimates"),
+        _opt("--n", type=_mc_count, help="field samples for MC estimates"),
         SEED0, THREADS]),
     "limit": ("large-dimension residual tables", [
         _opt("--check", required=True,
@@ -530,7 +542,7 @@ COMMANDS = {
                       "field-transform"]),
         _opt("--q", type=_at_least(2), default=2),
         _opt("--alpha", type=_finite, default=0.5),
-        _opt("--mc", type=_at_least(1),
+        _opt("--mc", type=_at_least(2),
              help="Monte-Carlo sample count (default 200000)"),
         SEED0]),
     "verify": ("run the invariant suite", [Q, D, SEED0]),

@@ -203,9 +203,21 @@ def empirical_covariance(values: np.ndarray) -> np.ndarray:
 
 
 def covariance_stderr(values: np.ndarray) -> np.ndarray:
-    """Entrywise standard error of :func:`empirical_covariance`."""
+    """Entrywise standard error of :func:`empirical_covariance`.
+
+    The sample variance of p_s = v[s, x] conj(v[s, y]) over n samples is
+    (sum_s |p_s|^2 - n |mean p|^2) / (n - 1), and
+    sum_s |p_s|^2 = sum_s |v[s, x]|^2 |v[s, y]|^2, so two N x N products
+    replace the (n, N, N) table of p_s.  Rounding can push the difference
+    below 0; it is clamped there.
+    """
     v = np.asarray(values)
     n = v.shape[0]
-    prods = v[:, :, None] * v.conj()[:, None, :]
-    var = prods.real.var(axis=0, ddof=1) + prods.imag.var(axis=0, ddof=1)
-    return np.sqrt(var / n)
+    if n < 2:
+        raise RangeError(f"a standard error needs at least 2 samples, got {n}")
+    sq = v.real ** 2
+    if np.iscomplexobj(v):
+        sq += v.imag ** 2
+    mean = empirical_covariance(v)
+    var = (sq.T @ sq - n * np.abs(mean) ** 2) / (n - 1)
+    return np.sqrt(np.maximum(var, 0.0) / n)

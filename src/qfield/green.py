@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
+    MATERIAL_LIMIT,
     RangeError,
     all_states,
     circulant_from_kernel,
@@ -31,8 +32,6 @@ from .lattice import (
     size,
 )
 from .walks import IncrementLaw, KillingLaw, Spectrum, simulate_killed
-
-MATERIAL_LIMIT = 4096
 
 
 def green_eigenvalues(rho: np.ndarray, alpha: float) -> np.ndarray:

@@ -14,11 +14,20 @@ The discrete Fourier transform used throughout is the unitary one,
 with theta = exp(2*pi*i/q), computed by one ``np.fft.fftn``/``ifftn``
 call (``norm="ortho"``) over the d lattice axes.  A naive O(q^{2d})
 double-sum path is kept as a test oracle.
+
+Dense matrices over lattice pairs, such as the circulant
+M[x, y] = k(x - y), are built only up to ``MATERIAL_LIMIT`` = 4096
+points (a 128 MB float64 matrix); larger shapes raise RangeError, and
+callers work with the kernel instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+# largest q**d whose dense (q**d, q**d) matrix may be built: 128 MB of float64
+MATERIAL_LIMIT = 4096
 
 
 class ShapeError(ValueError):
@@ -111,26 +120,24 @@ def dft_naive(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     return f @ w.T
 
 
-def difference_rank_table(q: int, d: int) -> np.ndarray:
-    """(N, N) table with entry [i, j] = rank((x_i - x_j) mod q).
-
-    Backs the circulant expansion kernel[rank(x - y)] -> matrix.  Only
-    sensible at desk scale; materialization callers enforce q**d limits.
-    """
-    digits = all_states(q, d).astype(np.int32)
-    n = digits.shape[0]
-    table = np.zeros((n, n), dtype=np.int64)
-    stride = 1
-    for k in range(d):
-        col = digits[:, k]
-        table += ((col[:, None] - col[None, :]) % q).astype(np.int64) * stride
-        stride *= q
-    return table
-
-
 def circulant_from_kernel(kernel: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Expand a lattice kernel k(z) into the full matrix M[x, y] = k(x - y)."""
+    """Expand a lattice kernel k(z) into the full matrix M[x, y] = k(x - y).
+
+    Raises RangeError above ``MATERIAL_LIMIT`` lattice points.
+    """
     kernel = np.asarray(kernel)
-    if kernel.shape != (size(q, d),):
-        raise ShapeError(f"kernel has shape {kernel.shape}, expected ({size(q, d)},)")
-    return kernel[difference_rank_table(q, d)]
+    n = size(q, d)
+    if kernel.shape != (n,):
+        raise ShapeError(f"kernel has shape {kernel.shape}, expected ({n},)")
+    if n > MATERIAL_LIMIT:
+        raise RangeError(f"an {n} x {n} matrix exceeds the materialization "
+                         f"limit of {MATERIAL_LIMIT} lattice points")
+    diff = (np.arange(q)[:, None] - np.arange(q)) % q  # (a - b) mod q
+    # the reshape puts z[d-1] on axis 0; each take turns one z axis into an
+    # (x_k, y_k) pair, last axis first so the earlier axis numbers stay
+    # put, and the transpose moves every x axis before every y axis
+    m = kernel.reshape((q,) * d)
+    for axis in reversed(range(d)):
+        m = np.take(m, diff, axis=axis)
+    return m.transpose(tuple(range(0, 2 * d, 2))
+                       + tuple(range(1, 2 * d, 2))).reshape(n, n)

@@ -283,6 +283,9 @@ def transform_identity(omega, l, q: int, n_samples: int, seed: int
     E[e^(i w.M) Q_l(M; inf)] = E[e^(i w.M)] (i/q)^|l|
                                prod_k (sum_a w[a] theta_k^a)^l[k] / l[k]!.
     """
+    if n_samples < 2:
+        raise RangeError(
+            f"a standard error needs at least 2 samples, got {n_samples}")
     omega = np.asarray(omega, dtype=float)
     l = tuple(int(v) for v in l)
     rng = np.random.default_rng(seed)

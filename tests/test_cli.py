@@ -280,19 +280,41 @@ def law_with(**fields):
      '{"alpha": 0.5, "phi": NaN, "atoms": [{"pmf": [0.5, 0.5], "weight": 1.0}]}'],
     ["pointproc", "--l", "1", "--spec", '{"alpha": 0.5, "phi": Infinity, '
      '"atoms": [{"pmf": [0.5, 0.5], "weight": 1.0}]}'],
+    ["green", "--law", law_with(d=13), "--alpha", "0.5", "--out", os.devnull],
+    ["hamiltonian", "--law", law_with(d=13), "--alpha", "0.5", "--seed", "1",
+     "--n-vectors", "1"],
+    ["limit", "--check", "transform", "--q", "3", "--mc", "1"],
+    ["potts", "--law", UNIFORM_22, "--alpha", "0.5", "--beta", "0.3",
+     "--n", "1"],
 ], ids=["row-out-of-range", "x0-out-of-range", "x0-short", "beta-nan",
         "threads-0", "config-type", "config-choice", "q-string", "q-float",
         "q-null", "shift-string", "pmf-string", "out-unwritable",
         "samples-0", "seed-negative", "n-vectors-negative", "potts-n-negative",
         "limit-q-0", "krawtchouk-q-0", "degree-negative", "hamiltonian-alpha-0",
         "verify-tol-0", "verify-tol-negative", "limit-mc-0", "spec-pmf-nan",
-        "spec-weight-nan", "spec-phi-nan", "spec-phi-inf"])
+        "spec-weight-nan", "spec-phi-nan", "spec-phi-inf",
+        "green-matrix-above-limit", "hamiltonian-above-limit", "limit-mc-1",
+        "potts-n-1"])
 def test_hostile_input_exits_2(argv):
     code, _, err = run_main(argv)
     assert code == 2
     assert "config error:" in err
     if argv[0] == "pointproc":
         assert "$.spec" in err
+
+
+def test_single_sample_monte_carlo_exits_2_and_zero_skips_it():
+    spec = '{"alpha": 0.5, "atoms": [{"pmf": [0.5, 0.5], "weight": 1.0}]}'
+    code, _, err = run_main(["pointproc", "--spec", spec, "--l", "1",
+                             "--mc", "1"])
+    assert code == 2 and "--mc" in err
+    for argv in (["pointproc", "--spec", spec, "--l", "1", "--mc", "0"],
+                 ["potts", "--law", UNIFORM_22, "--alpha", "0.5", "--beta",
+                  "0.3", "--n", "0"]):
+        code, out, _ = run_main(argv)
+        assert code == 0
+        assert not any(key.startswith("mc_")
+                       for key in json.loads(out)["result"])
 
 
 def test_spectrum_hash_ignores_signed_zero_noise():

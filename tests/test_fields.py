@@ -240,3 +240,30 @@ def test_torus_field_rejects_asymmetric_law():
     with pytest.raises(fields.ReversibilityError):
         fields.sample_torus_field(law, 0.5, 2, seed=0,
                                   grid=np.array([[0.1]]))
+
+
+def _two_pass_stderr(v):
+    """The (n, N, N) product-table standard error, as an oracle."""
+    prods = v[:, :, None] * v.conj()[:, None, :]
+    var = prods.real.var(axis=0, ddof=1) + prods.imag.var(axis=0, ddof=1)
+    return np.sqrt(var / v.shape[0])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_covariance_stderr_matches_two_pass_formula(dtype):
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((400, 12)) + 0.3
+    if dtype is complex:
+        v = v + 1j * rng.standard_normal((400, 12))
+    v[:, 5] = 1.5 - 0.5j if dtype is complex else 1.5  # a constant column
+    se = fields.covariance_stderr(v)
+    np.testing.assert_allclose(se, _two_pass_stderr(v), rtol=1e-12, atol=0)
+    assert se[5, 5] == 0.0
+    assert np.all(se[5, np.arange(12) != 5] > 0)
+
+
+def test_single_sample_has_no_standard_error():
+    with pytest.raises(lattice.RangeError):
+        fields.covariance_stderr(np.ones((1, 4)))
+    with pytest.raises(lattice.RangeError):
+        fields.covariance_stderr(np.ones((0, 4)))

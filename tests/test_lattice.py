@@ -136,6 +136,41 @@ def test_circulant_from_kernel():
     assert np.allclose(mat, [[0.5, 0.2, 0.3], [0.3, 0.5, 0.2], [0.2, 0.3, 0.5]])
 
 
+def _circulant_oracle(kernel, q, d):
+    """M[x, y] = kernel[rank((x - y) mod q)], one row per x."""
+    states = lattice.all_states(q, d)
+    offsets = q ** np.arange(d)
+    return np.array([kernel[((x - states) % q) @ offsets] for x in states])
+
+
+@pytest.mark.parametrize("q,d", [(5, 1), (3, 3), (2, 8), (4, 4), (64, 2)])
+def test_circulant_from_kernel_matches_rank_oracle(q, d):
+    kernel = np.random.default_rng(q * 10 + d).standard_normal(q**d)
+    assert np.array_equal(lattice.circulant_from_kernel(kernel, q, d),
+                          _circulant_oracle(kernel, q, d))
+
+
+@pytest.mark.parametrize("q,d", [(2, 12), (16, 3), (4096, 1)])
+def test_circulant_from_kernel_entries_at_the_limit(q, d):
+    rng = np.random.default_rng(q + d)
+    kernel = rng.standard_normal(q**d)
+    mat = lattice.circulant_from_kernel(kernel, q, d)
+    assert mat.shape == (q**d, q**d)
+    xs, ys = rng.integers(q**d, size=(2, 300))
+    want = [kernel[lattice.rank((np.array(lattice.unrank(x, q, d))
+                                 - lattice.unrank(y, q, d)) % q, q)]
+            for x, y in zip(xs, ys)]
+    assert np.array_equal(mat[xs, ys], want)
+
+
+def test_circulant_from_kernel_refuses_above_material_limit():
+    assert lattice.MATERIAL_LIMIT == 4096
+    with pytest.raises(lattice.RangeError, match="materialization limit"):
+        lattice.circulant_from_kernel(np.zeros(2**13), 2, 13)
+    with pytest.raises(lattice.RangeError):
+        lattice.circulant_from_kernel(np.zeros(4097), 4097, 1)
+
+
 def test_axis_tensor_little_endian():
     v0 = np.array([1.0, 2.0])
     v1 = np.array([1.0, 10.0])

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from qfield import krawtchouk as kw
-from qfield import limits, pointprocess as pp, walks
+from qfield import lattice, limits, pointprocess as pp, walks
 
 
 def test_hermite_low_degrees():
@@ -163,6 +163,9 @@ def test_transform_identity_cases():
     assert abs(mc0 - rhs0) <= 4 * se0 + 1e-12
     mc1, rhs1, se1 = limits.transform_identity(omega, (1,), 2, 300_000, seed=2)
     assert abs(mc1 - rhs1) <= 4 * se1
+    # one sample has no standard error
+    with pytest.raises(lattice.RangeError):
+        limits.transform_identity(omega, (1,), 2, 1, seed=3)
 
 
 def test_limit_green_density_truncation_monotone_at_center():

@@ -1,0 +1,33 @@
+"""Peak-memory guards for the dense N^2 layers.
+
+numpy reports its data buffers to ``tracemalloc``, so the traced peak of
+one call is the memory that call allocates, output included.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from qfield import fields, lattice
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_circulant_peak_is_about_twice_its_output():
+    kernel = np.random.default_rng(0).standard_normal(2**12)
+    mat, peak = _traced_peak(lattice.circulant_from_kernel, kernel, 2, 12)
+    assert peak <= 2.1 * mat.nbytes, peak / mat.nbytes
+
+
+def test_covariance_stderr_peak_is_a_few_inputs():
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal((6000, 64)) + 1j * rng.standard_normal((6000, 64))
+    _, peak = _traced_peak(fields.covariance_stderr, values)
+    assert peak <= 3 * values.nbytes, peak / values.nbytes
