@@ -159,12 +159,6 @@ def ranked_class_sum(driver: np.ndarray, x, ranked: tuple[int, ...],
     return complex(phases @ np.asarray(driver)[idx])
 
 
-def binary_krawtchouk(k: int, w: int, d: int) -> int:
-    """sum_j (-1)^j C(w, j) C(d-w, k-j): class sums at Hamming distance w."""
-    return sum((-1) ** j * math.comb(w, j) * math.comb(d - w, k - j)
-               for j in range(max(0, k - (d - w)), min(w, k) + 1))
-
-
 @dataclass
 class TorusFieldSample:
     values: np.ndarray       # (n_samples, n_grid) complex

@@ -105,19 +105,28 @@ def green_grouped(kappas, q: int, d: int, alpha: float, m, n) -> float:
     the average of (1-alpha) G(x, y) over y in the type class of n for
     any x with counts m (pointwise equal when the class is a singleton).
     """
-    from .krawtchouk import degree_indices, krawtchouk, scale_constant_inv
+    from .krawtchouk import degree_indices, scale_constant_inv
 
-    m = tuple(int(v) for v in m)
-    n = tuple(int(v) for v in n)
-    if sum(m) != d or sum(n) != d:
+    return float(_grouped_sum(kappas, alpha, q, d, m, n, degree_indices(q, d),
+                             lambda l: 1.0 / scale_constant_inv(l, d)) / q**d)
+
+
+def _grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees,
+                 h) -> float:
+    """Re sum_l h(l) lambda_l Q_l(m) conj(Q_l(n)) over ``degrees``; the
+    count vectors m, n must sum to d."""
+    from .krawtchouk import krawtchouk_values
+
+    if sum(int(v) for v in m) != d or sum(int(v) for v in n) != d:
         raise RangeError(f"count vectors must sum to d = {d}")
     get = kappas.__getitem__ if isinstance(kappas, dict) else kappas
+    q_m = krawtchouk_values(m, degrees, q).tolist()
+    q_n = krawtchouk_values(n, degrees, q).tolist()
     acc = 0.0 + 0.0j
-    for l in degree_indices(q, d):
+    for l, a, b in zip(degrees, q_m, q_n):
         lam_l = green_eigenvalues(np.array([complex(get(l))]), alpha)[0]
-        h_l = 1.0 / scale_constant_inv(l, d)
-        acc += h_l * lam_l * krawtchouk(m, l, q) * np.conj(krawtchouk(n, l, q))
-    return float(acc.real / q**d)
+        acc += h(l) * lam_l * a * np.conj(b)
+    return acc.real
 
 
 def grouped_green_eigenvalue(kappa_l: complex, alpha: float) -> complex:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import FieldSample, ReversibilityError
 from .green import green_eigenvalues, green_exact
-from .lattice import RangeError, dft, size
+from .lattice import MATERIAL_LIMIT, RangeError, dft, size
 from .walks import ContractError, Spectrum, transition_matrix
 
 
@@ -242,11 +242,15 @@ def gibbs(pspec: PottsSpec, sample: FieldSample) -> np.ndarray:
 
 def expected_partition(pspec: PottsSpec) -> float:
     """Annealed E[Z] = sum_y prod_r exp{beta^2 lambda_r B_r(y)^2 / (2 q^d)}
-    for nonrandom b, with B_r(y) = sum_x b(y, x) theta^(x.r)."""
+    for nonrandom b, with B_r(y) = sum_x b(y, x) theta^(x.r).  The default
+    b = delta is a dense identity: RangeError above ``MATERIAL_LIMIT``."""
     spec, alpha, beta = pspec.spec, pspec.alpha, pspec.beta
     n = size(spec.q, spec.d)
     lam = green_eigenvalues(spec.rho.real, alpha)
     if pspec.b is None:
+        if n > MATERIAL_LIMIT:
+            raise RangeError(f"b = delta on {n} lattice points exceeds the "
+                             f"materialization limit of {MATERIAL_LIMIT}")
         b = np.eye(n, dtype=complex)
     else:
         b = pspec.b

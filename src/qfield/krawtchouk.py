@@ -4,10 +4,11 @@ Q_l(m) is the coefficient of w_1^l[1] .. w_{q-1}^l[q-1] in
 
     prod_{j=0}^{q-1} (1 + sum_{k=1}^{q-1} w_k theta_k^j)^m[j],
 
-theta_k = exp(2*pi*i*k/q), extracted by a dynamic program that truncates
-multi-degrees componentwise at l (cost O(|m| * q * prod(l[k]+1))).  The
-inverse squared norms h_l^-1 = d!/((d-|l|)! prod l[k]!) are computed in
-integer arithmetic.
+theta_k = exp(2*pi*i*k/q), extracted by one dynamic program per count
+vector m: it truncates multi-degrees componentwise at the largest degree
+asked for on each axis, so one pass of cost O(|m| * q * prod(L[k]+1))
+yields Q_l(m) for every l in the box L.  The inverse squared norms
+h_l^-1 = d!/((d-|l|)! prod l[k]!) are computed in integer arithmetic.
 
 These polynomials diagonalize the type-count chain of walks with
 exchangeable increments.  Grouped eigenvalues kappa_l come from the law
@@ -66,41 +67,44 @@ def count_vectors(q: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
+    """Q_l(m) for every l in ``degrees`` (length-(q-1) nonnegative degree
+    indices), from one DP truncated at the largest degree on each axis;
+    entries with |l| > sum(m) come out exactly 0."""
+    m = np.asarray(m, dtype=np.int64)
+    if m.shape != (q,) or np.any(m < 0):
+        raise RangeError(f"m must be a length-{q} nonnegative count vector")
+    degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, q - 1)
+    box = tuple(np.max(degrees, axis=0, initial=0) + 1)
+    # multiplying by w_k shifts the coefficient array one step up axis k-1
+    shifts = [(k, (slice(None),) * (k - 1) + (slice(1, None),),
+               (slice(None),) * (k - 1) + (slice(0, -1),))
+              for k in range(1, q) if box[k - 1] > 1]
+    theta = roots(q)
+    coef = np.zeros(box, dtype=complex)
+    coef[(0,) * (q - 1)] = 1.0
+    for j in range(q):
+        for _ in range(int(m[j])):
+            new = coef.copy()
+            for k, dst, src in shifts:
+                new[dst] += theta[(k * j) % q] * coef[src]
+            coef = new
+    return coef[tuple(degrees.T)]
+
+
 def krawtchouk(m, l, q: int) -> complex:
-    """Q_l(m) by truncated-multidegree coefficient extraction.
+    """Q_l(m), one entry of :func:`krawtchouk_values`.
 
     ``m`` is a length-q count vector; sum(m) plays the role of the
     dimension.  Degrees |l| beyond sum(m) exceed the polynomial degree
     bound and return 0 (with a warning).
     """
-    m = np.asarray(m, dtype=np.int64)
-    if m.shape != (q,) or np.any(m < 0):
-        raise RangeError(f"m must be a length-{q} nonnegative count vector")
     l = _check_degree(l, q)
-    if sum(l) > int(m.sum()):
-        warnings.warn(f"degree |l|={sum(l)} exceeds |m|={int(m.sum())}; "
+    value = complex(krawtchouk_values(m, [l], q)[0])
+    if sum(l) > int(np.sum(m)):
+        warnings.warn(f"degree |l|={sum(l)} exceeds |m|={int(np.sum(m))}; "
                       "coefficient is 0", stacklevel=2)
-        return 0.0 + 0.0j
-    theta = roots(q)
-    shape = tuple(v + 1 for v in l)
-    coef = np.zeros(shape, dtype=complex)
-    coef[(0,) * (q - 1)] = 1.0
-    for j in range(q):
-        if m[j] == 0:
-            continue
-        factors = [theta[(k * j) % q] for k in range(1, q)]
-        for _ in range(int(m[j])):
-            new = coef.copy()
-            for axis in range(q - 1):
-                if l[axis] == 0:
-                    continue
-                src = [slice(None)] * (q - 1)
-                dst = [slice(None)] * (q - 1)
-                src[axis] = slice(0, l[axis])
-                dst[axis] = slice(1, l[axis] + 1)
-                new[tuple(dst)] += factors[axis] * coef[tuple(src)]
-            coef = new
-    return complex(coef[l])
+    return value
 
 
 def krawtchouk_exact_q2(m, l: int) -> int:
@@ -156,11 +160,15 @@ class KrawtchoukTable:
     values: np.ndarray  # (n_degrees, n_counts) complex
     h_inv: np.ndarray   # exact h_l^-1 as float
 
+    def __post_init__(self):
+        self._degree_pos = {l: i for i, l in enumerate(self.degrees)}
+        self._count_pos = {m: j for j, m in enumerate(self.counts)}
+
     def degree_index(self, l) -> int:
-        return self.degrees.index(tuple(int(v) for v in l))
+        return self._degree_pos[tuple(int(v) for v in l)]
 
     def count_index(self, m) -> int:
-        return self.counts.index(tuple(int(v) for v in m))
+        return self._count_pos[tuple(int(v) for v in m)]
 
     def value(self, l, m) -> complex:
         return self.values[self.degree_index(l), self.count_index(m)]
@@ -170,12 +178,12 @@ class KrawtchoukTable:
 
 
 def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
+    """Q_l(m) for |l| <= max_degree (default d) and |m| = d, one DP per m."""
     degrees = degree_indices(q, d, max_degree)
     counts = count_vectors(q, d)
     values = np.empty((len(degrees), len(counts)), dtype=complex)
-    for i, l in enumerate(degrees):
-        for j, m in enumerate(counts):
-            values[i, j] = krawtchouk(m, l, q)
+    for j, m in enumerate(counts):
+        values[:, j] = krawtchouk_values(m, degrees, q)
     h_inv = np.array([scale_constant_inv(l, d) for l in degrees], dtype=float)
     return KrawtchoukTable(q, d, degrees, counts, values, h_inv)
 
@@ -208,10 +216,17 @@ def duality_residual(m, l, q: int) -> float:
 
 
 def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float:
+    """max of :func:`duality_residual` over |l| <= max_degree and |m| = d:
+    Q_l(m) from one table, Q_{m^-}(l^+) for every m from one DP per l."""
+    tab = table(q, d, max_degree)
+    m_minus = [m[1:] for m in tab.counts]
+    h_inv_m = np.array([scale_constant_inv(v, d) for v in m_minus], dtype=float)
     worst = 0.0
-    for l in degree_indices(q, d, max_degree):
-        for m in count_vectors(q, d):
-            worst = max(worst, duality_residual(m, l, q))
+    for l, h_inv_l, q_l in zip(tab.degrees, tab.h_inv, tab.values):
+        dual = krawtchouk_values((d - sum(l),) + l, m_minus, q)
+        gap = h_inv_m * q_l - h_inv_l * dual
+        # hypot is abs() of a Python complex: the max equals the per-pair one
+        worst = max(worst, float(np.max(np.hypot(gap.real, gap.imag))))
     return worst
 
 

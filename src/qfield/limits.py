@@ -24,8 +24,8 @@ from itertools import product as iter_product
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .green import green_eigenvalues
-from .krawtchouk import (count_vectors, degree_indices, krawtchouk,
+from .green import _grouped_sum, green_eigenvalues
+from .krawtchouk import (count_vectors, degree_indices, krawtchouk_values,
                          log_scale_constant_inv)
 from .lattice import RangeError, roots
 from .pointprocess import PointProcessSpec, y_moment
@@ -148,18 +148,11 @@ def limit_krawtchouk_series(m_full, l, q: int) -> complex:
 def _hermite_expansion_coeffs(l, q: int) -> list[tuple[tuple[int, ...], complex]]:
     """(a, coeff) pairs: Q_l(m; inf) = sum_a coeff_a prod_j H_{a[j]}(m[j])."""
     l = tuple(int(v) for v in l)
-    s = sum(l)
-    denom = 1.0
-    for v in l:
-        denom *= math.factorial(v)
-    l_as_counts = (0,) + l  # degree index reused as a count vector over q types
-    out = []
-    for a in count_vectors(q, s):
-        a_plus = a[1:]
-        coeff = krawtchouk(np.array(l_as_counts), a_plus, q) / denom
-        if coeff != 0:
-            out.append((a, complex(coeff)))
-    return out
+    denom = float(math.prod(math.factorial(v) for v in l))
+    a_all = count_vectors(q, sum(l))
+    # degree index reused as a count vector over q types
+    values = krawtchouk_values((0,) + l, [a[1:] for a in a_all], q).tolist()
+    return [(a, v / denom) for a, v in zip(a_all, values) if v != 0]
 
 
 def limit_krawtchouk_hermite(m_full, l, q: int) -> complex:
@@ -167,15 +160,7 @@ def limit_krawtchouk_hermite(m_full, l, q: int) -> complex:
     m_full = np.asarray(m_full, dtype=float)
     if m_full.shape != (q,):
         raise RangeError(f"m must be the full length-{q} type vector")
-    s = sum(int(v) for v in l)
-    table = hermite_table(s, m_full, q)  # (s+1, q)
-    acc = 0.0 + 0.0j
-    for a, coeff in _hermite_expansion_coeffs(l, q):
-        prod = 1.0
-        for j in range(q):
-            prod = prod * table[a[j], j]
-        acc += coeff * prod
-    return complex(acc)
+    return complex(limit_krawtchouk_batch(m_full, l, q)[0])
 
 
 def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int) -> np.ndarray:
@@ -350,18 +335,11 @@ def scaled_green_finite_d(kappa_of_l, alpha: float, q: int, d: int, m, n,
     """
     from .krawtchouk import multinomial_pmf
 
-    m = tuple(int(v) for v in m)
-    n = tuple(int(v) for v in n)
-    if sum(m) != d or sum(n) != d:
-        raise RangeError("count vectors must sum to d")
-    get = kappa_of_l.__getitem__ if isinstance(kappa_of_l, dict) else kappa_of_l
-    acc = 0.0 + 0.0j
-    for l in degree_indices(q, d, max_degree):
-        lam = green_eigenvalues(np.array([complex(get(l))]), alpha)[0]
-        h_l = math.exp(-log_scale_constant_inv(l, d))
-        acc += h_l * lam * krawtchouk(m, l, q) * np.conj(krawtchouk(n, l, q))
+    acc = _grouped_sum(kappa_of_l, alpha, q, d, m, n,
+                      degree_indices(q, d, max_degree),
+                      lambda l: math.exp(-log_scale_constant_inv(l, d)))
     return float(d ** (q - 1) * multinomial_pmf(m, d, q)
-                 * multinomial_pmf(n, d, q) * acc.real)
+                 * multinomial_pmf(n, d, q) * acc)
 
 
 def _check_transform_args(omega, psi, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -693,26 +693,24 @@ def ct_grouped_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int,
     unmoved by it.
     """
     from .krawtchouk import degree_indices as _degree_indices
-    from .krawtchouk import krawtchouk, scale_constant_inv
+    from .krawtchouk import krawtchouk_values, scale_constant_inv
 
     if tau < 0:
         raise RangeError(f"tau must be >= 0, got {tau}")
     if degree_indices is None:
         degree_indices = _degree_indices(q, d)
+    degrees = [_check_degree(l, q) for l in degree_indices]
+    h_inv = np.array([scale_constant_inv(l, d) for l in degrees], dtype=float)
     atoms = np.atleast_2d(measure.points).astype(np.int64)
     if atoms.shape[1] != q or np.any(atoms.sum(axis=1) != d):
         raise RangeError("atoms must be count vectors over q types summing to d")
-    out: dict[tuple[int, ...], complex] = {}
-    for l in degree_indices:
-        h_inv = scale_constant_inv(l, d)
-        acc = 0.0 + 0.0j
-        for zeta, w in zip(atoms, measure.weights):
-            moving = d - int(zeta[0])
-            if moving == 0:
-                continue  # h_l Q_l((d,0,..)) = 1 exactly: inert atom
-            acc += w * (krawtchouk(zeta, l, q) / h_inv - 1.0) / moving
-        out[tuple(l)] = complex(np.exp(tau * acc))
-    return out
+    acc = np.zeros(len(degrees), dtype=complex)
+    for zeta, w in zip(atoms, measure.weights):
+        moving = d - int(zeta[0])
+        if moving == 0:
+            continue  # h_l Q_l((d,0,..)) = 1 exactly: inert atom
+        acc += w * (krawtchouk_values(zeta, degrees, q) / h_inv - 1.0) / moving
+    return {l: complex(np.exp(tau * a)) for l, a in zip(degrees, acc)}
 
 
 BUILTIN_FAMILIES = ("uniform", "deterministic", "product_iid",

@@ -286,6 +286,7 @@ def law_with(**fields):
     ["limit", "--check", "transform", "--q", "3", "--mc", "1"],
     ["potts", "--law", UNIFORM_22, "--alpha", "0.5", "--beta", "0.3",
      "--n", "1"],
+    ["potts", "--law", law_with(d=13), "--alpha", "0.5", "--beta", "0.3"],
 ], ids=["row-out-of-range", "x0-out-of-range", "x0-short", "beta-nan",
         "threads-0", "config-type", "config-choice", "q-string", "q-float",
         "q-null", "shift-string", "pmf-string", "out-unwritable",
@@ -294,7 +295,7 @@ def law_with(**fields):
         "verify-tol-0", "verify-tol-negative", "limit-mc-0", "spec-pmf-nan",
         "spec-weight-nan", "spec-phi-nan", "spec-phi-inf",
         "green-matrix-above-limit", "hamiltonian-above-limit", "limit-mc-1",
-        "potts-n-1"])
+        "potts-n-1", "potts-above-limit"])
 def test_hostile_input_exits_2(argv):
     code, _, err = run_main(argv)
     assert code == 2

@@ -206,7 +206,8 @@ def test_class_phase_sums_are_binary_krawtchouk():
             x = np.array([1] * w + [0] * (4 - w))
             sel = [i for i in range(16) if int(states[i].sum()) == k]
             ssum = sum((-1.0) ** int(states[i] @ x) for i in sel)
-            assert abs(ssum - fields.binary_krawtchouk(k, w, 4)) < 1e-12
+            exact = krawtchouk.krawtchouk_exact_q2((4 - w, w), k)
+            assert abs(ssum - exact) < 1e-12
 
 
 def test_torus_field_truncations():

@@ -143,6 +143,25 @@ def test_grouped_green_is_class_average():
             assert abs(green.green_grouped(kap, 2, 4, alpha, m, n) - avg) < 1e-9
 
 
+@pytest.mark.parametrize("q,d", [(2, 7), (3, 4), (4, 3)])
+def test_grouped_green_matches_per_degree_sum(q, d):
+    alpha = 0.45
+    law = walks.lazy_walk(q, d, [0.25, 0.7])
+    kap = {l: krawtchouk.kappa_from_law(law, l)
+           for l in krawtchouk.degree_indices(q, d)}
+    counts = krawtchouk.count_vectors(q, d)
+    for m in counts[::3]:
+        for n in counts[::4]:
+            acc = 0.0 + 0.0j
+            for l in krawtchouk.degree_indices(q, d):
+                lam = 1.0 / (1.0 + alpha / (1.0 - alpha) * (1.0 - kap[l]))
+                acc += (lam / krawtchouk.scale_constant_inv(l, d)
+                        * krawtchouk.krawtchouk(m, l, q)
+                        * np.conj(krawtchouk.krawtchouk(n, l, q)))
+            got = green.green_grouped(kap, q, d, alpha, m, n)
+            assert abs(got - acc.real / q**d) < 1e-13
+
+
 def test_grouped_green_singleton_class_is_pointwise():
     law = walks.lazy_walk(3, 3, [0.2, 0.5])
     kap = {l: krawtchouk.kappa_from_law(law, l)

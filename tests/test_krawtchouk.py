@@ -184,6 +184,80 @@ def test_table_lookup_consistency():
         assert abs(tab.h(l) - 1.0 / kw.scale_constant_inv(l, 4)) < 1e-15
 
 
+@pytest.mark.parametrize("q,d,max_degree", [(4, 6, None), (3, 10, None),
+                                            (5, 4, None), (3, 20, 4)])
+def test_table_matches_per_pair_dp(q, d, max_degree):
+    tab = kw.table(q, d, max_degree)
+    assert tab.degrees == kw.degree_indices(q, d, max_degree)
+    assert tab.counts == kw.count_vectors(q, d)
+    worst = max(abs(tab.values[i, j] - kw.krawtchouk(m, l, q))
+                for i, l in enumerate(tab.degrees)
+                for j, m in enumerate(tab.counts))
+    assert worst < 1e-13
+
+
+def test_table_lookup_by_key():
+    tab = kw.table(3, 4)
+    for i, l in enumerate(tab.degrees):
+        assert tab.degree_index(np.array(l)) == i
+    for j, m in enumerate(tab.counts):
+        assert tab.count_index(list(m)) == j
+    with pytest.raises(KeyError):
+        tab.degree_index((5, 0))
+    with pytest.raises(KeyError):
+        tab.count_index((1, 1, 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_max_duality_matches_per_pair_residuals(q):
+    for d in range(1, 7):
+        per_degree = {l: max(kw.duality_residual(m, l, q)
+                             for m in kw.count_vectors(q, d))
+                      for l in kw.degree_indices(q, d)}
+        for max_degree in (None, min(d, 3)):
+            oracle = max(r for l, r in per_degree.items()
+                         if max_degree is None or sum(l) <= max_degree)
+            got = kw.max_duality_residual(q, d, max_degree)
+            assert abs(got - oracle) < 1e-12, (q, d, max_degree)
+
+
+def _count_dp_runs(monkeypatch):
+    calls = []
+    dp = kw.krawtchouk_values
+
+    def counted(m, degrees, q):
+        calls.append(tuple(int(v) for v in m))
+        return dp(m, degrees, q)
+
+    def per_pair(*args):
+        raise AssertionError("per-(l, m) krawtchouk() call")
+
+    monkeypatch.setattr(kw, "krawtchouk_values", counted)
+    monkeypatch.setattr(kw, "krawtchouk", per_pair)
+    return calls
+
+
+@pytest.mark.parametrize("q,d,max_degree", [(2, 6, None), (3, 5, 4),
+                                            (4, 5, None), (4, 6, 4)])
+def test_one_dp_per_count_vector(monkeypatch, q, d, max_degree):
+    n_counts = len(kw.count_vectors(q, d))
+    n_degrees = len(kw.degree_indices(q, d, max_degree))
+    calls = _count_dp_runs(monkeypatch)
+    kw.table(q, d, max_degree)
+    assert len(calls) == n_counts
+    calls.clear()
+    kw.max_duality_residual(q, d, max_degree)
+    assert len(calls) <= n_counts + n_degrees
+
+
+def test_orthogonality_on_the_496_table():
+    # entries reach h_l^-1 = 30!/(10!)^3 = 5.6e12, so the absolute Gram
+    # residual carries float rounding of that size; bound it relative to it
+    tab = kw.table(3, 30)
+    assert tab.values.shape == (496, 496)
+    assert kw.orthogonality_residual(3, 30, tab=tab) <= 1e-9 * tab.h_inv.max()
+
+
 @pytest.mark.parametrize("law", [
     *(walks.builtin_law(f, 3, 3) for f in walks.BUILTIN_FAMILIES),
     walks.lazy_walk(2, 4, [0.3, 0.7]),

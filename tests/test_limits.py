@@ -51,6 +51,29 @@ def test_limit_krawtchouk_routes_agree(q):
             assert abs(a - b) < 1e-9, (q, l)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hermite_coefficients_match_per_pair_krawtchouk(q):
+    for l in kw.degree_indices(q, 6, 5):
+        denom = math.prod(math.factorial(v) for v in l)
+        oracle = {}
+        for a in kw.count_vectors(q, sum(l)):
+            coeff = kw.krawtchouk((0,) + l, a[1:], q) / denom
+            if coeff != 0:
+                oracle[a] = coeff
+        got = dict(limits._hermite_expansion_coeffs(l, q))
+        assert max((abs(got.get(a, 0) - oracle.get(a, 0))
+                    for a in set(got) | set(oracle)), default=0.0) < 1e-14
+
+
+def test_hermite_coefficients_take_one_dp(monkeypatch):
+    calls = []
+    dp = limits.krawtchouk_values
+    monkeypatch.setattr(limits, "krawtchouk_values",
+                        lambda *args: calls.append(args) or dp(*args))
+    limits._hermite_expansion_coeffs((2, 1, 1), 4)
+    assert len(calls) == 1
+
+
 def test_limit_krawtchouk_degree_one_is_linear_form():
     q = 3
     m = limits.full_type_vector(np.array([0.4, -0.2]), q)
@@ -208,6 +231,26 @@ def test_scaled_green_converges_to_limit_density():
         ratios.append(finite / limit)
     assert abs(ratios[-1] - 1.0) < 0.05
     assert abs(ratios[-1] - 1.0) <= abs(ratios[0] - 1.0)
+
+
+@pytest.mark.parametrize("q,d,max_degree", [(2, 9, None), (3, 5, None),
+                                            (3, 8, 3), (4, 4, 2)])
+def test_scaled_green_matches_per_degree_sum(q, d, max_degree):
+    alpha = 0.5
+    law = walks.lazy_walk(q, d, [0.3, 0.6])
+    kap = {l: kw.kappa_from_law(law, l) for l in kw.degree_indices(q, d)}
+    counts = kw.count_vectors(q, d)
+    for m, n in ((counts[0], counts[-1]),
+                 (counts[1], counts[len(counts) // 2])):
+        acc = 0.0 + 0.0j
+        for l in kw.degree_indices(q, d, max_degree):
+            lam = 1.0 / (1.0 + alpha / (1.0 - alpha) * (1.0 - kap[l]))
+            acc += (math.exp(-kw.log_scale_constant_inv(l, d)) * lam
+                    * kw.krawtchouk(m, l, q) * np.conj(kw.krawtchouk(n, l, q)))
+        oracle = (d ** (q - 1) * kw.multinomial_pmf(m, d, q)
+                  * kw.multinomial_pmf(n, d, q) * acc.real)
+        got = limits.scaled_green_finite_d(kap, alpha, q, d, m, n, max_degree)
+        assert abs(got - oracle) < 1e-13
 
 
 def test_transform_field_cov_routes_agree():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qfield import green, lattice, walks
+from qfield import krawtchouk as kw
 
 
 def brute_force_spectrum(law):
@@ -249,6 +250,30 @@ def test_ct_grouped_eigenvalues():
     pure = walks.AtomicMeasure(np.array([[3.0, 0.0, 0.0]]), [2.5])
     assert all(abs(v - 1.0) < 1e-14
                for v in walks.ct_grouped_eigenvalues(pure, 1.0, 3, 3).values())
+
+
+def test_ct_grouped_eigenvalues_match_per_degree_sum():
+    q, d, tau = 3, 4, 0.7
+    zeta = np.array([[4, 0, 0], [1, 2, 1], [2, 0, 2], [0, 3, 1]])
+    weights = [0.5, 0.3, 0.2, 0.4]
+    degrees = kw.degree_indices(q, d)
+    got = walks.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
+                                       tau, q, d)
+    assert list(got) == degrees
+    for l in degrees:
+        acc = 0.0 + 0.0j
+        for z, w in zip(zeta, weights):
+            if z[0] != d:
+                acc += w * (kw.krawtchouk(z, l, q) / kw.scale_constant_inv(l, d)
+                            - 1.0) / (d - z[0])
+        assert abs(got[l] - np.exp(tau * acc)) < 1e-13
+    sub = [(2, 1), (0, 3)]
+    part = walks.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
+                                        tau, q, d, degree_indices=sub)
+    assert part == {l: got[l] for l in sub}
+    with pytest.raises(lattice.RangeError):
+        walks.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
+                                     tau, q, d, degree_indices=[(1,)])
 
 
 def test_xi_transform_round_trip():
