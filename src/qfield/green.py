@@ -107,12 +107,12 @@ def green_grouped(kappas, q: int, d: int, alpha: float, m, n) -> float:
     """
     from .krawtchouk import degree_indices, scale_constant_inv
 
-    return float(_grouped_sum(kappas, alpha, q, d, m, n, degree_indices(q, d),
-                             lambda l: 1.0 / scale_constant_inv(l, d)) / q**d)
+    return float(grouped_sum(kappas, alpha, q, d, m, n, degree_indices(q, d),
+                            lambda l: 1.0 / scale_constant_inv(l, d)) / q**d)
 
 
-def _grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees,
-                 h) -> float:
+def grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees,
+                h) -> float:
     """Re sum_l h(l) lambda_l Q_l(m) conj(Q_l(n)) over ``degrees``; the
     count vectors m, n must sum to d."""
     from .krawtchouk import krawtchouk_values

@@ -67,13 +67,18 @@ def count_vectors(q: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_counts(m, q: int) -> np.ndarray:
+    m = np.asarray(m, dtype=np.int64)
+    if m.shape != (q,) or np.any(m < 0):
+        raise RangeError(f"m must be a length-{q} nonnegative count vector")
+    return m
+
+
 def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     """Q_l(m) for every l in ``degrees`` (length-(q-1) nonnegative degree
     indices), from one DP truncated at the largest degree on each axis;
     entries with |l| > sum(m) come out exactly 0."""
-    m = np.asarray(m, dtype=np.int64)
-    if m.shape != (q,) or np.any(m < 0):
-        raise RangeError(f"m must be a length-{q} nonnegative count vector")
+    m = _check_counts(m, q)
     degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, q - 1)
     box = tuple(np.max(degrees, axis=0, initial=0) + 1)
     # multiplying by w_k shifts the coefficient array one step up axis k-1
@@ -99,12 +104,13 @@ def krawtchouk(m, l, q: int) -> complex:
     dimension.  Degrees |l| beyond sum(m) exceed the polynomial degree
     bound and return 0 (with a warning).
     """
+    m = _check_counts(m, q)
     l = _check_degree(l, q)
-    value = complex(krawtchouk_values(m, [l], q)[0])
-    if sum(l) > int(np.sum(m)):
-        warnings.warn(f"degree |l|={sum(l)} exceeds |m|={int(np.sum(m))}; "
+    if sum(l) > int(m.sum()):
+        warnings.warn(f"degree |l|={sum(l)} exceeds |m|={int(m.sum())}; "
                       "coefficient is 0", stacklevel=2)
-    return value
+        return 0.0 + 0.0j
+    return complex(krawtchouk_values(m, [l], q)[0])
 
 
 def krawtchouk_exact_q2(m, l: int) -> int:

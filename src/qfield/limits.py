@@ -24,7 +24,7 @@ from itertools import product as iter_product
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .green import _grouped_sum, green_eigenvalues
+from .green import grouped_sum
 from .krawtchouk import (count_vectors, degree_indices, krawtchouk_values,
                          log_scale_constant_inv)
 from .lattice import RangeError, roots
@@ -335,9 +335,9 @@ def scaled_green_finite_d(kappa_of_l, alpha: float, q: int, d: int, m, n,
     """
     from .krawtchouk import multinomial_pmf
 
-    acc = _grouped_sum(kappa_of_l, alpha, q, d, m, n,
-                      degree_indices(q, d, max_degree),
-                      lambda l: math.exp(-log_scale_constant_inv(l, d)))
+    acc = grouped_sum(kappa_of_l, alpha, q, d, m, n,
+                     degree_indices(q, d, max_degree),
+                     lambda l: math.exp(-log_scale_constant_inv(l, d)))
     return float(d ** (q - 1) * multinomial_pmf(m, d, q)
                  * multinomial_pmf(n, d, q) * acc)
 

@@ -287,6 +287,8 @@ def law_with(**fields):
     ["potts", "--law", UNIFORM_22, "--alpha", "0.5", "--beta", "0.3",
      "--n", "1"],
     ["potts", "--law", law_with(d=13), "--alpha", "0.5", "--beta", "0.3"],
+    ["krawtchouk", "--q", "2", "--d", "3", "--m", "1,2",
+     "--l", "100000000000000000000"],
 ], ids=["row-out-of-range", "x0-out-of-range", "x0-short", "beta-nan",
         "threads-0", "config-type", "config-choice", "q-string", "q-float",
         "q-null", "shift-string", "pmf-string", "out-unwritable",
@@ -295,7 +297,7 @@ def law_with(**fields):
         "verify-tol-0", "verify-tol-negative", "limit-mc-0", "spec-pmf-nan",
         "spec-weight-nan", "spec-phi-nan", "spec-phi-inf",
         "green-matrix-above-limit", "hamiltonian-above-limit", "limit-mc-1",
-        "potts-n-1", "potts-above-limit"])
+        "potts-n-1", "potts-above-limit", "krawtchouk-degree-above-m"])
 def test_hostile_input_exits_2(argv):
     code, _, err = run_main(argv)
     assert code == 2

@@ -251,11 +251,14 @@ def test_one_dp_per_count_vector(monkeypatch, q, d, max_degree):
 
 
 def test_orthogonality_on_the_496_table():
-    # entries reach h_l^-1 = 30!/(10!)^3 = 5.6e12, so the absolute Gram
-    # residual carries float rounding of that size; bound it relative to it
+    # entries reach h_l^-1 = 30!/(10!)^3 = 5.6e12, so compare the Gram
+    # matrix scaled by sqrt(h_l h_l') with the identity
     tab = kw.table(3, 30)
     assert tab.values.shape == (496, 496)
-    assert kw.orthogonality_residual(3, 30, tab=tab) <= 1e-9 * tab.h_inv.max()
+    weights = np.array([kw.multinomial_pmf(m, 30, 3) for m in tab.counts])
+    gram = (tab.values * weights[None, :]) @ tab.values.conj().T
+    normalized = gram / np.sqrt(np.outer(tab.h_inv, tab.h_inv))
+    assert np.abs(normalized - np.eye(len(tab.degrees))).max() <= 1e-9
 
 
 @pytest.mark.parametrize("law", [
