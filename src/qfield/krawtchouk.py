@@ -196,19 +196,23 @@ def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
 
 def orthogonality_residual(q: int, d: int, max_degree: int | None = None,
                            tab: KrawtchoukTable | None = None) -> float:
-    """max_{l,l'} | E[Q_l conj(Q_l')] - delta_{ll'} h_l^-1 | over the multinomial."""
+    """max_{l,l'} | E[Q_l conj(Q_l')] / sqrt(h_l^-1 h_l'^-1) - delta_{ll'} |
+    over the multinomial: the Gram matrix of the normalized polynomials
+    against the identity, a relative residual at every d."""
     if tab is None:
         tab = table(q, d, max_degree)
     if len(tab.counts) > 100_000:
         raise RangeError("count-vector enumeration too large for exact check")
     weights = np.array([multinomial_pmf(m, d, q) for m in tab.counts])
     gram = (tab.values * weights[None, :]) @ tab.values.conj().T
-    target = np.diag(tab.h_inv)
-    return float(np.max(np.abs(gram - target)))
+    scale = 1.0 / np.sqrt(tab.h_inv)
+    gram *= scale[:, None] * scale[None, :]
+    return float(np.max(np.abs(gram - np.eye(len(scale)))))
 
 
 def duality_residual(m, l, q: int) -> float:
-    """| h_{m^-}^-1 Q_l(m) - h_l^-1 Q_{m^-}(l^+) | for one (m, l) pair.
+    """| h_{m^-}^-1 Q_l(m) - h_l^-1 Q_{m^-}(l^+) | / (h_{m^-}^-1 h_l^-1)
+    for one (m, l) pair: the duality gap relative to its scale.
 
     l^+ prepends d - |l| as the type-0 count; m^- drops the type-0 count
     of m and acts as a degree index.
@@ -216,9 +220,11 @@ def duality_residual(m, l, q: int) -> float:
     d = int(sum(m))
     m_minus = tuple(int(v) for v in m[1:])
     l_plus = (d - sum(l),) + tuple(int(v) for v in l)
-    lhs = scale_constant_inv(m_minus, d) * krawtchouk(m, l, q)
-    rhs = scale_constant_inv(l, d) * krawtchouk(l_plus, m_minus, q)
-    return float(abs(lhs - rhs))
+    h_inv_m = scale_constant_inv(m_minus, d)
+    h_inv_l = scale_constant_inv(l, d)
+    lhs = h_inv_m * krawtchouk(m, l, q)
+    rhs = h_inv_l * krawtchouk(l_plus, m_minus, q)
+    return float(abs(lhs - rhs) / (h_inv_m * h_inv_l))
 
 
 def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float:
@@ -231,8 +237,9 @@ def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float
     for l, h_inv_l, q_l in zip(tab.degrees, tab.h_inv, tab.values):
         dual = krawtchouk_values((d - sum(l),) + l, m_minus, q)
         gap = h_inv_m * q_l - h_inv_l * dual
-        # hypot is abs() of a Python complex: the max equals the per-pair one
-        worst = max(worst, float(np.max(np.hypot(gap.real, gap.imag))))
+        # hypot is abs() of a Python complex: each entry is the per-pair one
+        rel = np.hypot(gap.real, gap.imag) / (h_inv_m * h_inv_l)
+        worst = max(worst, float(np.max(rel)))
     return worst
 
 

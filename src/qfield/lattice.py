@@ -11,8 +11,11 @@ The discrete Fourier transform used throughout is the unitary one,
     forward:  c[r] = q^(-d/2) * sum_x f[x] * theta^(-x.r)
     inverse:  f[x] = q^(-d/2) * sum_r c[r] * theta^(x.r)
 
-with theta = exp(2*pi*i/q), computed by one ``np.fft.fftn``/``ifftn``
-call (``norm="ortho"``) over the d lattice axes.  A naive O(q^{2d})
+with theta = exp(2*pi*i/q), computed as d passes of the 1-D
+``np.fft.fft``/``ifft`` (``norm="ortho"``), one per digit.  Each pass
+runs over contiguous rows of length q and writes its digit back as the
+slowest one, so the digits rotate into rank order; the result equals
+``np.fft.fftn`` over the d lattice axes bit for bit.  A naive O(q^{2d})
 double-sum path is kept as a test oracle.
 
 Dense matrices over lattice pairs, such as the circulant
@@ -83,7 +86,7 @@ def axis_tensor(vectors: list[np.ndarray]) -> np.ndarray:
     """Little-endian tensor product: out[rank(r)] = prod_k vectors[k][r[k]]."""
     acc = np.ones(1, dtype=complex)
     for v in vectors:
-        acc = np.kron(np.asarray(v, dtype=complex), acc)
+        acc = np.multiply.outer(np.asarray(v, dtype=complex), acc).ravel()
     return acc
 
 
@@ -98,13 +101,20 @@ def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     n = size(q, d)
     if f.shape[-1] != n:
         raise ShapeError(f"last axis has length {f.shape[-1]}, expected {n}")
-    batch = f.shape[:-1]
-    # the reshape puts x[d-1] on the first lattice axis; x.r, and so the
-    # transform over all d axes, does not depend on the axis order
-    transform = np.fft.ifftn if inverse else np.fft.fftn
-    axes = tuple(range(len(batch), len(batch) + d))
-    return transform(f.reshape(batch + (q,) * d), axes=axes,
-                     norm="ortho").reshape(batch + (n,))
+    # each pass transforms the fastest digit x[0] over contiguous rows of
+    # length q and writes it back as the slowest digit, so after d passes
+    # the digits are in rank order again; the passes alternate between two
+    # buffers and never write the caller's array
+    transform = np.fft.ifft if inverse else np.fft.fft
+    rest = n // q
+    buffers = [np.empty(f.shape, dtype=complex) for _ in range(min(d, 2))]
+    src = f
+    for k in range(d):
+        dst = buffers[k % 2]
+        transform(src.reshape(-1, rest, q), axis=-1, norm="ortho",
+                  out=dst.reshape(-1, q, rest).transpose(0, 2, 1))
+        src = dst
+    return src
 
 
 def dft_naive(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:

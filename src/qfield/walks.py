@@ -40,6 +40,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -381,19 +382,17 @@ class SparseExchangeableLaw(IncrementLaw):
 
     def spectrum(self) -> Spectrum:
         phi = self._char()
-        states = all_states(self.q, self.d)
-        nonzero = states != 0
-        counts = nonzero.sum(axis=1)
         rho = np.zeros(size(self.q, self.d), dtype=complex)
-        strides = self.q ** np.arange(self.c, dtype=np.int64)
         denom = math.comb(self.d, self.c)
-        for i in range(rho.size):
-            n = int(counts[i])
-            if n > self.c:
-                continue
-            vals = states[i][nonzero[i]]
-            u = int(vals @ strides[: len(vals)]) if len(vals) else 0
-            rho[i] = math.comb(self.d - n, self.c - n) / denom * phi[u]
+        # rho lives on the r with n <= c nonzero entries: for each n, the
+        # nonzero positions (rows) times their values in order (columns)
+        for n in range(self.c + 1):
+            positions = np.array(_subsets(self.d, n), dtype=np.int64)
+            values = 1 + np.indices((self.q - 1,) * n, dtype=np.int64
+                                    ).reshape(n, (self.q - 1) ** n)
+            ranks = self.q ** positions @ values
+            u = self.q ** np.arange(n, dtype=np.int64) @ values
+            rho[ranks] = math.comb(self.d - n, self.c - n) / denom * phi[u]
         return Spectrum(rho, self.q, self.d)
 
     def sample(self, rng, n):
@@ -440,8 +439,6 @@ class SparseExchangeableLaw(IncrementLaw):
 
 
 def _subsets(d: int, c: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
     return list(combinations(range(d), c))
 
 

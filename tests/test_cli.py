@@ -136,7 +136,7 @@ def test_pointproc_subcommand(tmp_path):
 def test_hamiltonian_subcommand():
     doc = run_json("hamiltonian", "--law", LAZY_LAW, "--alpha", "0.5",
                    "--seed", "0", "--n-vectors", "10")
-    assert doc["result"]["worst_identity"]["residual"] < 1e-10
+    assert doc["result"]["max_identity_residual"] < 1e-10
     assert doc["result"]["max_diagonalization_gap"] < 1e-10
 
 

@@ -129,6 +129,37 @@ def test_dft_batched_matches_loop():
         assert np.allclose(together[i], lattice.dft(batch[i], 3, 2))
 
 
+def _fftn_dft(values, q, d, inverse):
+    """The transform as one fftn over the d lattice axes of a reshape."""
+    f = np.asarray(values, dtype=complex)
+    batch = f.shape[:-1]
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    axes = tuple(range(len(batch), len(batch) + d))
+    return transform(f.reshape(batch + (q,) * d), axes=axes,
+                     norm="ortho").reshape(f.shape)
+
+
+@pytest.mark.parametrize("q,d,n", [
+    (2, 6, 20000), (2, 12, 64), (4, 3, 20000), (3, 7, 64), (16, 3, 64),
+    (4096, 1, 64), (64, 2, None), (2, 12, None), (5, 1, None),
+    (4, 5, None), (7, 4, 3)])
+def test_dft_equals_fftn_bit_for_bit(q, d, n):
+    rng = np.random.default_rng(q * 100 + d)
+    batches = [(), (0, 8), (2, 3, 8)] + ([(n,)] if n else [])
+    for batch in batches:
+        f = rng.standard_normal(batch + (q**d,)) \
+            + 1j * rng.standard_normal(batch + (q**d,))
+        before = f.copy()
+        for inverse in (False, True):
+            got = lattice.dft(f, q, d, inverse=inverse)
+            want = _fftn_dft(f, q, d, inverse)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (q, d, batch, inverse)
+            assert np.array_equal(f, before)
+    real = rng.standard_normal(q**d)
+    assert np.array_equal(lattice.dft(real, q, d), _fftn_dft(real, q, d, False))
+
+
 def test_circulant_from_kernel():
     kernel = np.array([0.5, 0.3, 0.2])
     mat = lattice.circulant_from_kernel(kernel, 3, 1)

@@ -1,4 +1,4 @@
-"""Peak-memory guards for the dense N^2 layers.
+"""Peak-memory guards for the dense N^2 layers and the lattice transform.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of
 one call is the memory that call allocates, output included.
@@ -31,3 +31,19 @@ def test_covariance_stderr_peak_is_a_few_inputs():
     values = rng.standard_normal((6000, 64)) + 1j * rng.standard_normal((6000, 64))
     _, peak = _traced_peak(fields.covariance_stderr, values)
     assert peak <= 3 * values.nbytes, peak / values.nbytes
+
+
+def test_dft_peak_is_no_more_than_fftn():
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal((64, 2**12)) + 1j * rng.standard_normal((64, 2**12))
+
+    def fftn(f):
+        return np.fft.fftn(f.reshape((64,) + (2,) * 12), axes=range(1, 13),
+                           norm="ortho").reshape(f.shape)
+
+    # the first np.fft call imports numpy.fft; keep that out of both peaks
+    lattice.dft(values[:1], 2, 12)
+    fftn(values)
+    _, peak = _traced_peak(lattice.dft, values, 2, 12)
+    _, fftn_peak = _traced_peak(fftn, values)
+    assert peak <= fftn_peak, (peak, fftn_peak)

@@ -100,6 +100,34 @@ def test_sparse_support_count_is_exact():
     assert np.count_nonzero(np.abs(rho) > 1e-12) == int(inside.sum())
 
 
+def _sparse_spectrum_oracle(law):
+    """rho by a loop over every state: C(d-n, c-n)/C(d, c) phi[u] when the
+    n nonzero entries of r, read in order, have rank u and n <= c."""
+    q, d, c = law.q, law.d, law.c
+    phi = law._char()
+    rho = np.zeros(q**d, dtype=complex)
+    for i, r in enumerate(lattice.all_states(q, d)):
+        vals = r[r != 0]
+        if len(vals) <= c:
+            u = int(vals @ q ** np.arange(len(vals))) if len(vals) else 0
+            rho[i] = math.comb(d - len(vals), c - len(vals)) \
+                / math.comb(d, c) * phi[u]
+    return rho
+
+
+@pytest.mark.parametrize("q,d", [(3, 5), (2, 8), (4, 4), (5, 3)])
+def test_sparse_spectrum_matches_per_state_loop(q, d):
+    rng = np.random.default_rng(q * 10 + d)
+    for c in range(1, d + 1):
+        # a two-component mixture of i.i.d. slots is exchangeable
+        slots = lattice.all_states(q, c)
+        pmfs = rng.dirichlet(np.ones(q), size=2)
+        joint = 0.3 * np.prod(pmfs[0][slots], axis=1) \
+            + 0.7 * np.prod(pmfs[1][slots], axis=1)
+        law = walks.SparseExchangeableLaw(q, d, c, joint=joint / joint.sum())
+        assert np.array_equal(law.spectrum().rho, _sparse_spectrum_oracle(law))
+
+
 def test_sparse_needs_exchangeable_joint():
     joint = np.array([0.7, 0.1, 0.1, 0.1])  # p(0,1) != p(1,0)
     joint[1], joint[2] = 0.15, 0.05
