@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -146,18 +145,14 @@ def limit_krawtchouk_series(m_full, l, q: int) -> complex:
     return complex(acc[l])
 
 
-@lru_cache(maxsize=1024)
-def _hermite_expansion_coeffs(l: tuple[int, ...], q: int
-                              ) -> tuple[tuple[tuple[int, ...], complex], ...]:
-    """(a, coeff) pairs: Q_l(m; inf) = sum_a coeff_a prod_j H_{a[j]}(m[j]).
-
-    Memoized per (l, q); the tuple result keeps the cache read-only.
-    """
+def _hermite_expansion_coeffs(l, q: int) -> list[tuple[tuple[int, ...], complex]]:
+    """(a, coeff) pairs: Q_l(m; inf) = sum_a coeff_a prod_j H_{a[j]}(m[j])."""
+    l = tuple(int(v) for v in l)
     denom = float(math.prod(math.factorial(v) for v in l))
     a_all = count_vectors(q, sum(l))
     # degree index reused as a count vector over q types
     values = krawtchouk_values((0,) + l, [a[1:] for a in a_all], q).tolist()
-    return tuple((a, v / denom) for a, v in zip(a_all, values) if v != 0)
+    return [(a, v / denom) for a, v in zip(a_all, values) if v != 0]
 
 
 def limit_krawtchouk_hermite(m_full, l, q: int) -> complex:
@@ -171,8 +166,8 @@ def limit_krawtchouk_hermite(m_full, l, q: int) -> complex:
 def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int) -> np.ndarray:
     """Route-B evaluation over many full type vectors (n, q)."""
     m_samples = np.atleast_2d(np.asarray(m_samples, dtype=float))
-    l = tuple(int(v) for v in l)
-    table = hermite_table(sum(l), m_samples, q)  # (|l|+1, n, q)
+    s = sum(int(v) for v in l)
+    table = hermite_table(s, m_samples, q)  # (s+1, n, q)
     acc = np.zeros(m_samples.shape[0], dtype=complex)
     for a, coeff in _hermite_expansion_coeffs(l, q):
         prod = np.ones(m_samples.shape[0])

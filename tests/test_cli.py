@@ -113,6 +113,12 @@ def test_krawtchouk_value_and_checks():
     assert ortho["result"]["max_residual"] < 1e-9
     dual = run_json("krawtchouk", "--q", "2", "--d", "4", "--check", "duality")
     assert dual["result"]["max_residual"] < 1e-9
+    # the residuals are relative, so correct tables pass at large d too
+    for argv in (("--q", "3", "--d", "30", "--check", "orthogonality"),
+                 ("--q", "3", "--d", "20", "--check", "duality",
+                  "--max-degree", "20")):
+        doc = run_json("krawtchouk", *argv, "--tol", "1e-9")
+        assert doc["result"]["within_tol"], doc["result"]
 
 
 def test_kappa_routes():

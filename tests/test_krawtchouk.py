@@ -251,14 +251,16 @@ def test_one_dp_per_count_vector(monkeypatch, q, d, max_degree):
 
 
 def test_orthogonality_on_the_496_table():
-    # entries reach h_l^-1 = 30!/(10!)^3 = 5.6e12, so compare the Gram
-    # matrix scaled by sqrt(h_l h_l') with the identity
+    # entries reach h_l^-1 = 30!/(10!)^3 = 5.6e12; the residual is relative,
+    # so a correct table passes at the same bound as at small d
     tab = kw.table(3, 30)
     assert tab.values.shape == (496, 496)
-    weights = np.array([kw.multinomial_pmf(m, 30, 3) for m in tab.counts])
-    gram = (tab.values * weights[None, :]) @ tab.values.conj().T
-    normalized = gram / np.sqrt(np.outer(tab.h_inv, tab.h_inv))
-    assert np.abs(normalized - np.eye(len(tab.degrees))).max() <= 1e-9
+    assert kw.orthogonality_residual(3, 30, tab=tab) <= 1e-9
+
+
+def test_duality_residual_is_relative_at_d20():
+    # h_{m-}^-1 h_l^-1 reaches 1.8e16 here, where the absolute gap is 8.3e-3
+    assert kw.max_duality_residual(3, 20, 20) <= 1e-9
 
 
 @pytest.mark.parametrize("law", [

@@ -65,35 +65,13 @@ def test_hermite_coefficients_match_per_pair_krawtchouk(q):
                     for a in set(got) | set(oracle)), default=0.0) < 1e-14
 
 
-def _count_hermite_dps(monkeypatch):
-    limits._hermite_expansion_coeffs.cache_clear()
+def test_hermite_coefficients_take_one_dp(monkeypatch):
     calls = []
     dp = limits.krawtchouk_values
     monkeypatch.setattr(limits, "krawtchouk_values",
                         lambda *args: calls.append(args) or dp(*args))
-    return calls
-
-
-def test_hermite_coefficients_take_one_dp(monkeypatch):
-    calls = _count_hermite_dps(monkeypatch)
     limits._hermite_expansion_coeffs((2, 1, 1), 4)
     assert len(calls) == 1
-
-
-def test_hermite_expansion_built_once_per_key(monkeypatch):
-    calls = _count_hermite_dps(monkeypatch)
-    rng = np.random.default_rng(7)
-    keys = [(q, l) for q in (2, 3) for l in kw.degree_indices(q, 4, 3)]
-    for _ in range(3):
-        for q, l in keys:
-            m = limits.full_type_vector(rng.standard_normal(q - 1), q)
-            # list and numpy-integer spellings of l share one cache entry
-            limits.limit_krawtchouk_hermite(m, list(l), q)
-            limits.limit_krawtchouk_batch(np.stack([m, m]),
-                                          np.array(l, dtype=np.int64), q)
-    assert len(calls) == len(keys)
-    q, l = keys[-1]
-    assert isinstance(limits._hermite_expansion_coeffs(l, q), tuple)
 
 
 def test_limit_krawtchouk_degree_one_is_linear_form():
