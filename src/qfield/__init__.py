@@ -27,7 +27,6 @@ from .walks import (
     UniformLaw,
     law_from_json,
     lazy_walk,
-    spectrum,
     transition_matrix,
 )
 from .green import GreenOperator, green_exact, green_mc, resolvent
@@ -39,7 +38,7 @@ __all__ = [
     "dft", "rank", "size", "unrank",
     "IncrementLaw", "UniformLaw", "DeterministicLaw", "ProductIIDLaw",
     "DeFinettiMixtureLaw", "SparseExchangeableLaw", "KillingLaw", "Spectrum",
-    "law_from_json", "lazy_walk", "spectrum", "transition_matrix",
+    "law_from_json", "lazy_walk", "transition_matrix",
     "GreenOperator", "green_exact", "green_mc", "resolvent",
     "FieldSample", "sample_field", "invert_field",
     "PointProcessSpec", "XiAtom", "y_moment",

@@ -212,7 +212,8 @@ def cmd_mc_green(args, t0):
     x0 = _coords(args.x0, law, "$.x0")
     emp = green.green_mc(law, args.alpha, x0, args.n, args.seed,
                          workers=args.threads)
-    exact = green.green_exact(law.spectrum(), args.alpha).row(x0)
+    exact = green.green_exact(law.spectrum(), args.alpha,
+                              materialize=False).row(x0)
     tv = green.tv_distance(emp, exact)
     _emit(args, _with_tol(args, {
         "alpha": args.alpha, "x0": x0, "n_walks": args.n,
@@ -312,19 +313,9 @@ def cmd_hamiltonian(args, t0):
         # the identity divides by alpha; 0 is a bad input, not a crash
         raise ConfigError("$.alpha: hamiltonian needs alpha in (0, 1), got 0")
     law = _law_from_arg(args.law)
-    spec = law.spectrum()
-    rng = np.random.default_rng(args.seed)
-    n = walks.size(law.q, law.d)
-    res_max = rel_max = diag_gap = 0.0
-    for _ in range(args.n_vectors):
-        g = rng.standard_normal(n)
-        lhs, _, res = hamiltonian.hamiltonian_identity_check(spec, args.alpha, g)
-        res_max = max(res_max, res)
-        rel_max = max(rel_max, res / (1.0 + abs(lhs)))
-        drv = rng.standard_normal(n)
-        diag_gap = max(diag_gap, abs(
-            hamiltonian.hamiltonian_value(drv, spec, args.alpha)
-            - 0.5 * float(drv @ drv)))
+    res_max, rel_max, diag_gap = hamiltonian.identity_residuals(
+        law.spectrum(), args.alpha, np.random.default_rng(args.seed),
+        args.n_vectors)
     _emit(args, _with_tol(args, {
         "alpha": args.alpha, "n_vectors": args.n_vectors,
         "max_identity_residual": res_max,

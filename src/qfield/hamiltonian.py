@@ -9,41 +9,24 @@ weights (1/alpha - rho[r])^(-1/2),
 with Jacobian J = alpha^(q^d/2) prod_r (1 - alpha rho[r])^(-1/2) and
 partition function Z = (2 pi / beta)^(q^d/2) J, computed in log space.
 
-The random-bond layer regresses a Hamiltonian on spin monomials:
-H_y = -sum_x b(y, x) g_x; with nonrandom b the annealed partition
-function E[Z] has a per-frequency Gaussian product form.
+The random-bond layer takes the delta bonds H_y = -g_y, so every Potts
+quantity is diagonal in frequency and reads the Green kernel k of
+lambda(Re rho): the annealed partition function is
+E[Z] = sum_y exp{(beta^2/2) k(2y mod q)}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FieldSample, ReversibilityError
 from .green import green_eigenvalues, green_exact
-from .lattice import MATERIAL_LIMIT, RangeError, dft, size
-from .walks import ContractError, Spectrum, transition_matrix
-
-
-@dataclass
-class QuadraticForm:
-    """Precision form K = I - alpha P with eigenvalues 1 - alpha rho[r]."""
-
-    q: int
-    d: int
-    alpha: float
-    matrix: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
-
-
-def quadratic_form(spec: Spectrum, alpha: float) -> QuadraticForm:
-    if not 0.0 <= alpha < 1.0:
-        raise RangeError(f"alpha must lie in [0, 1), got {alpha}")
-    p = transition_matrix(spec)
-    k = np.eye(size(spec.q, spec.d)) - alpha * p
-    return QuadraticForm(spec.q, spec.d, alpha, k, 1.0 - alpha * spec.rho)
+from .lattice import RangeError, dft, size
+from .walks import (ContractError, Spectrum, transition_kernel,
+                    transition_matrix)
 
 
 def hamiltonian_identity_check(spec: Spectrum, alpha: float, g
@@ -81,11 +64,35 @@ def scaled_field_from_driver(driver, spec: Spectrum, alpha: float) -> np.ndarray
 
 def hamiltonian_value(driver, spec: Spectrum, alpha: float) -> float:
     """Hermitian energy (1/2 alpha) conj(g)^T (I - alpha P) g of the
-    alpha-scaled field; equals (1/2) sum gr^2 by unitary diagonalization."""
+    alpha-scaled field; equals (1/2) sum gr^2 by unitary diagonalization.
+
+    P g is the convolution with the validated transition kernel, taken
+    through the lattice transform."""
     g = scaled_field_from_driver(driver, spec, alpha)
-    p = transition_matrix(spec)
-    val = np.real(np.conj(g) @ (g - alpha * (p @ g))) / (2.0 * alpha)
+    q, d = spec.q, spec.d
+    k_hat = math.sqrt(size(q, d)) * dft(transition_kernel(spec), q, d)
+    pg = dft(k_hat * dft(g, q, d), q, d, inverse=True)
+    val = np.real(np.conj(g) @ (g - alpha * pg)) / (2.0 * alpha)
     return float(val)
+
+
+def identity_residuals(spec: Spectrum, alpha: float, rng, n_vectors: int
+                       ) -> tuple[float, float, float]:
+    """Worst identity residual, its relative form |lhs - rhs| / (1 + |lhs|)
+    and the worst diagonalization gap |hamiltonian_value - (1/2) sum gr^2|
+    over ``n_vectors`` draws; each draw takes a test vector g, then a
+    driver, from ``rng``."""
+    n = size(spec.q, spec.d)
+    res_max = rel_max = diag_gap = 0.0
+    for _ in range(n_vectors):
+        g = rng.standard_normal(n)
+        lhs, _, res = hamiltonian_identity_check(spec, alpha, g)
+        res_max = max(res_max, res)
+        rel_max = max(rel_max, res / (1.0 + abs(lhs)))
+        drv = rng.standard_normal(n)
+        diag_gap = max(diag_gap, abs(hamiltonian_value(drv, spec, alpha)
+                                     - 0.5 * float(drv @ drv)))
+    return res_max, rel_max, diag_gap
 
 
 @dataclass
@@ -192,33 +199,21 @@ def log_z_limit(z_values, weights, alpha: float, beta: float, q: int,
 
 @dataclass
 class PottsSpec:
-    """Random-bond setup: coefficients b(y, x) (None means delta), inverse
-    temperature beta, and the field source."""
+    """Delta-bond random-bond setup: the field source and the inverse
+    temperature beta."""
 
     spec: Spectrum
     alpha: float
     beta: float
-    b: np.ndarray | None = None
 
     def __post_init__(self):
         if self.beta <= 0:
             raise RangeError(f"beta must be > 0, got {self.beta}")
-        n = size(self.spec.q, self.spec.d)
-        if self.b is not None:
-            self.b = np.asarray(self.b, dtype=complex)
-            if self.b.shape != (n, n):
-                raise RangeError(f"b must be {n} x {n} or None (delta)")
 
 
 def potts_hamiltonian(pspec: PottsSpec, sample: FieldSample) -> np.ndarray:
-    """H_y = -sum_x b(y, x) g_x per sample, shape (n_samples, q^d).
-
-    b = delta gives H_y = -g_y.
-    """
-    values = np.atleast_2d(sample.values)
-    if pspec.b is None:
-        return -values
-    return -values @ pspec.b.T
+    """H_y = -g_y per sample, shape (n_samples, q^d)."""
+    return -np.atleast_2d(sample.values)
 
 
 def bond_coefficients(driver, spec: Spectrum, alpha: float) -> np.ndarray:
@@ -241,24 +236,20 @@ def gibbs(pspec: PottsSpec, sample: FieldSample) -> np.ndarray:
 
 
 def expected_partition(pspec: PottsSpec) -> float:
-    """Annealed E[Z] = sum_y prod_r exp{beta^2 lambda_r B_r(y)^2 / (2 q^d)}
-    for nonrandom b, with B_r(y) = sum_x b(y, x) theta^(x.r).  The default
-    b = delta is a dense identity: RangeError above ``MATERIAL_LIMIT``."""
+    """Annealed E[Z] = sum_y prod_r exp{beta^2 lambda_r theta^(2y.r) / (2q^d)}
+    = sum_y exp{(beta^2/2) k(2y mod q)}, where k is the Green kernel of
+    lambda(Re rho); k is real since Re rho is even in r."""
     spec, alpha, beta = pspec.spec, pspec.alpha, pspec.beta
-    n = size(spec.q, spec.d)
+    q, d = spec.q, spec.d
     lam = green_eigenvalues(spec.rho.real, alpha)
-    if pspec.b is None:
-        if n > MATERIAL_LIMIT:
-            raise RangeError(f"b = delta on {n} lattice points exceeds the "
-                             f"materialization limit of {MATERIAL_LIMIT}")
-        b = np.eye(n, dtype=complex)
-    else:
-        b = pspec.b
-    bigb = dft(b, spec.q, spec.d, inverse=True) * math.sqrt(n)  # rows: B_r(y)
-    exponents = (beta**2 / (2.0 * n)) * (bigb**2) @ lam
-    if np.max(np.abs(exponents.imag)) > 1e-9:
-        raise ContractError("E[Z] exponents are not real; b is incompatible")
-    return float(np.sum(np.exp(exponents.real)))
+    kernel = (dft(lam, q, d, inverse=True) / math.sqrt(size(q, d))).real
+    # axis k of the (q,)*d view is digit d-1-k; reading index 2a mod q on
+    # every axis gives k(2y mod q) in rank order of y
+    doubled = 2 * np.arange(q) % q
+    at_2y = kernel.reshape((q,) * d)
+    for axis in range(d):
+        at_2y = np.take(at_2y, doubled, axis=axis)
+    return float(np.sum(np.exp((0.5 * beta**2) * at_2y.ravel())))
 
 
 def log_expected_partition_delta(spec: Spectrum, alpha: float,
@@ -266,7 +257,7 @@ def log_expected_partition_delta(spec: Spectrum, alpha: float,
     """Closed form for q = 2, b = delta: d log 2 + beta^2 sigma^2 / 2."""
     if spec.q != 2:
         raise ContractError("closed form is the q = 2, b = delta path")
-    sigma2 = float(green_exact(spec, alpha).kernel[0])
+    sigma2 = float(green_exact(spec, alpha, materialize=False).kernel[0])
     return spec.d * math.log(2.0) + 0.5 * beta**2 * sigma2
 
 
@@ -274,19 +265,12 @@ def free_energy_expansion(pspec: PottsSpec) -> float:
     """Low-temperature-free expansion through O(beta):
 
     F = (d/beta) log q + (beta/2) [ q^-d sum_y E|H_y|^2
-                                    - q^-2d E|sum_y H_y|^2 ].
+                                    - q^-2d E|sum_y H_y|^2 ]
+      = (d/beta) log q + (beta/2) [ k(0) - q^-d sum_z k(z) ]
 
-    Exact covariance input; for q = 2, b = delta this is
-    (d/beta) log 2 + (beta/2)(sigma^2 - 2^-d).
+    with k the exact Green kernel, since E[H_y conj(H_y')] = k(y - y').
     """
     spec, alpha, beta = pspec.spec, pspec.alpha, pspec.beta
-    n = size(spec.q, spec.d)
-    g = green_exact(spec, alpha, materialize=True).matrix
-    if pspec.b is None:
-        b = np.eye(n, dtype=complex)
-    else:
-        b = pspec.b
-    cov_h = b @ g @ b.conj().T  # E[H_y conj(H_y')] entries
-    term1 = float(np.trace(cov_h).real) / n
-    term2 = float(np.sum(cov_h).real) / n**2
-    return (spec.d / beta) * math.log(spec.q) + 0.5 * beta * (term1 - term2)
+    kernel = green_exact(spec, alpha, materialize=False).kernel
+    spread = float(kernel[0]) - float(np.sum(kernel)) / kernel.size
+    return (spec.d / beta) * math.log(spec.q) + 0.5 * beta * spread

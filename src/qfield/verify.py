@@ -110,15 +110,9 @@ def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
                          np.max(np.abs(fields.invert_field(
                              sample.values, spec, alpha) - sample.driver)),
                          1e-10 * tol_scale))
-    g_res = 0.0
-    for _ in range(5):
-        vec = rng.standard_normal(n)
-        lhs, rhs, res = hamiltonian.hamiltonian_identity_check(spec, alpha, vec)
-        g_res = max(g_res, res / (1.0 + abs(lhs)))
-        drv = rng.standard_normal(n)
-        g_res = max(g_res, abs(hamiltonian.hamiltonian_value(drv, spec, alpha)
-                               - 0.5 * float(drv @ drv)))
-    checks.append(_check("hamiltonian_identity", g_res, 1e-9 * tol_scale))
+    _, rel_max, diag_gap = hamiltonian.identity_residuals(spec, alpha, rng, 5)
+    checks.append(_check("hamiltonian_identity", max(rel_max, diag_gap),
+                         1e-9 * tol_scale))
 
     return {
         "q": q,

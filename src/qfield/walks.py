@@ -511,10 +511,6 @@ def law_from_json(doc: dict | str) -> IncrementLaw:
         raise RangeError(f"law variant {variant!r} is missing field {missing}") from None
 
 
-def spectrum(law: IncrementLaw) -> Spectrum:
-    return law.spectrum()
-
-
 def transition_kernel(spec: Spectrum) -> np.ndarray:
     """First-row kernel k(z) = q^-d sum_r rho[r] theta^(z.r), validated.
 

@@ -292,7 +292,6 @@ def law_with(**fields):
     ["limit", "--check", "transform", "--q", "3", "--mc", "1"],
     ["potts", "--law", UNIFORM_22, "--alpha", "0.5", "--beta", "0.3",
      "--n", "1"],
-    ["potts", "--law", law_with(d=13), "--alpha", "0.5", "--beta", "0.3"],
     ["krawtchouk", "--q", "2", "--d", "3", "--m", "1,2",
      "--l", "100000000000000000000"],
 ], ids=["row-out-of-range", "x0-out-of-range", "x0-short", "beta-nan",
@@ -303,13 +302,23 @@ def law_with(**fields):
         "verify-tol-0", "verify-tol-negative", "limit-mc-0", "spec-pmf-nan",
         "spec-weight-nan", "spec-phi-nan", "spec-phi-inf",
         "green-matrix-above-limit", "hamiltonian-above-limit", "limit-mc-1",
-        "potts-n-1", "potts-above-limit", "krawtchouk-degree-above-m"])
+        "potts-n-1", "krawtchouk-degree-above-m"])
 def test_hostile_input_exits_2(argv):
     code, _, err = run_main(argv)
     assert code == 2
     assert "config error:" in err
     if argv[0] == "pointproc":
         assert "$.spec" in err
+
+
+def test_potts_above_dense_limit():
+    # 2^13 points: E[Z] reads the Green kernel, no q^d x q^d matrix is built
+    code, out, _ = run_main(["potts", "--law", law_with(d=13), "--alpha",
+                             "0.5", "--beta", "0.3"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert abs(math.log(result["expected_partition"])
+               - result["log_expected_partition_delta"]) < 1e-12
 
 
 def test_single_sample_monte_carlo_exits_2_and_zero_skips_it():

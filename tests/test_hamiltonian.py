@@ -58,14 +58,77 @@ def test_hamiltonian_value_diagonalizes():
     assert ham.hamiltonian_value(np.zeros(8), spec, 0.6) == 0.0
 
 
+def precision_matrix(spec, alpha):
+    """Dense precision form K = I - alpha P."""
+    n = lattice.size(spec.q, spec.d)
+    return np.eye(n) - alpha * walks.transition_matrix(spec)
+
+
 def test_quadratic_form_eigenvalue_range():
     spec = walks.lazy_walk(3, 2, [0.2, 0.9]).spectrum()
-    form = ham.quadratic_form(spec, 0.7)
-    eig = np.linalg.eigvalsh((form.matrix + form.matrix.T) / 2)
+    k = precision_matrix(spec, 0.7)
+    eig = np.linalg.eigvalsh((k + k.T) / 2)
     assert eig.min() >= 1 - 0.7 - 1e-12
     assert eig.max() <= 1 + 0.7 + 1e-12
     assert np.max(np.abs(np.sort(eig)
-                         - np.sort(form.eigenvalues.real))) < 1e-10
+                         - np.sort(1 - 0.7 * spec.rho.real))) < 1e-10
+
+
+DENSE_SHAPES = [(2, 1), (2, 4), (2, 10), (3, 1), (3, 3), (3, 6), (4, 2),
+                (4, 5), (5, 2), (5, 4), (6, 1), (6, 3)]
+DENSE_FAMILIES = ["uniform", "deterministic", "definetti_mixture",
+                  "sparse_exchangeable"]
+
+
+def shape_id(qd):
+    return f"q{qd[0]}d{qd[1]}"
+
+
+@pytest.mark.parametrize("qd", DENSE_SHAPES, ids=shape_id)
+def test_expected_partition_matches_dense_bond_formula(qd):
+    # sum_y exp{beta^2/(2N) sum_r B_r(y)^2 lambda_r} with B_r(y) the inverse
+    # transform of the identity bonds, times sqrt(N)
+    q, d = qd
+    n = lattice.size(q, d)
+    bigb = lattice.dft(np.eye(n), q, d, inverse=True) * math.sqrt(n)
+    for family in DENSE_FAMILIES:
+        spec = walks.builtin_law(family, q, d).spectrum()
+        for alpha, beta in ((0.5, 0.3), (0.9, 1.2)):
+            lam = green.green_eigenvalues(spec.rho.real, alpha)
+            exponents = (beta**2 / (2.0 * n)) * (bigb**2) @ lam
+            dense = float(np.sum(np.exp(exponents.real)))
+            got = ham.expected_partition(ham.PottsSpec(spec, alpha, beta))
+            assert abs(got - dense) <= 1e-13 * dense, (family, alpha)
+
+
+@pytest.mark.parametrize("qd", [(2, 5), (3, 3), (4, 3), (5, 2)], ids=shape_id)
+def test_free_energy_and_hamiltonian_value_match_dense_forms(qd):
+    q, d = qd
+    n = lattice.size(q, d)
+    rng = np.random.default_rng(8)
+    for family in DENSE_FAMILIES:
+        spec = walks.builtin_law(family, q, d).spectrum()
+        alpha, beta = 0.6, 0.4
+        g = green.green_exact(spec, alpha, materialize=True).matrix
+        dense = d / beta * math.log(q) \
+            + beta / 2 * (np.trace(g) / n - g.sum() / n**2)
+        got = ham.free_energy_expansion(ham.PottsSpec(spec, alpha, beta))
+        assert abs(got - dense) <= 1e-13 * abs(dense), family
+        if not spec.is_real:
+            continue
+        driver = rng.standard_normal(n)
+        field = ham.scaled_field_from_driver(driver, spec, alpha)
+        k = precision_matrix(spec, alpha)
+        dense = np.real(np.conj(field) @ (k @ field)) / (2 * alpha)
+        got = ham.hamiltonian_value(driver, spec, alpha)
+        assert abs(got - dense) <= 1e-13 * abs(dense), family
+
+
+def test_hamiltonian_value_rejects_invalid_spectrum():
+    rho = np.array([1.0, -1.0, -1.0, -1.0], dtype=complex)
+    spec = walks.Spectrum(rho, 2, 2)
+    with pytest.raises(walks.KernelError):
+        ham.hamiltonian_value(np.ones(4), spec, 0.5)
 
 
 def test_partition_function_worked_value():
@@ -87,7 +150,7 @@ def brute_partition_quadrature(spec, alpha, beta, nodes=40):
     """Oracle: tensor Gauss-Hermite integral of e^(-beta H(g)) over the
     field plane, with H the precision quadratic form."""
     n = lattice.size(spec.q, spec.d)
-    k = ham.quadratic_form(spec, alpha).matrix
+    k = precision_matrix(spec, alpha)
     z, w = hermgauss(nodes)
     # substitution g = z * s against weight e^{-z^2}
     s = math.sqrt(2.0 * alpha / beta)
@@ -121,7 +184,7 @@ def test_partition_matches_importance_sampling():
     n = 16
     sigma2 = alpha / (beta * (1 - alpha))  # dominates every target variance
     draws = rng.standard_normal((200_000, n)) * math.sqrt(sigma2)
-    k = ham.quadratic_form(spec, alpha).matrix
+    k = precision_matrix(spec, alpha)
     energy = 0.5 / alpha * np.einsum("ni,ij,nj->n", draws, k, draws)
     log_proposal = (-0.5 * np.sum(draws**2, axis=1) / sigma2
                     - 0.5 * n * math.log(2 * math.pi * sigma2))

@@ -1,14 +1,16 @@
-"""Peak-memory guards for the dense N^2 layers and the lattice transform.
+"""Peak-memory guards for the dense N^2 layers, the lattice transform and
+the Potts partition function.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of
 one call is the memory that call allocates, output included.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 
-from qfield import fields, lattice
+from qfield import fields, hamiltonian, lattice, walks
 
 
 def _traced_peak(fn, *args):
@@ -47,3 +49,14 @@ def test_dft_peak_is_no_more_than_fftn():
     _, peak = _traced_peak(lattice.dft, values, 2, 12)
     _, fftn_peak = _traced_peak(fftn, values)
     assert peak <= fftn_peak, (peak, fftn_peak)
+
+
+def test_expected_partition_peak_is_a_few_lattice_arrays():
+    # q^d = 65536: a dense q^d x q^d bond matrix would need 64 GB
+    n = 2**16
+    spec = walks.UniformLaw(2, 16).spectrum()
+    pspec = hamiltonian.PottsSpec(spec, 0.5, 0.3)
+    ez, peak = _traced_peak(hamiltonian.expected_partition, pspec)
+    assert peak <= 6 * n * 16, peak / (n * 16)
+    closed = hamiltonian.log_expected_partition_delta(spec, 0.5, 0.3)
+    assert abs(math.log(ez) - closed) < 1e-12
