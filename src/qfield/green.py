@@ -27,6 +27,7 @@ from .lattice import (
     RangeError,
     all_states,
     circulant_from_kernel,
+    circulant_row,
     dft,
     rank,
     size,
@@ -54,10 +55,7 @@ class GreenOperator:
 
     def row(self, x) -> np.ndarray:
         """(1-alpha) G(x, .): row of the operator as a lattice array."""
-        offsets = self.q ** np.arange(self.d, dtype=np.int64)
-        x = np.asarray(x, dtype=np.int64)
-        states = all_states(self.q, self.d)
-        return self.kernel[((x[None, :] - states) % self.q) @ offsets]
+        return circulant_row(self.kernel, x, self.q, self.d)
 
     def entry(self, x, y) -> float:
         z = (np.asarray(x, dtype=np.int64) - np.asarray(y)) % self.q

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import FieldSample, ReversibilityError
 from .green import green_eigenvalues, green_exact
-from .lattice import RangeError, dft, size
+from .lattice import RangeError, circulant_from_kernel, dft, size
 from .walks import (ContractError, Spectrum, transition_kernel,
                     transition_matrix)
 
@@ -37,14 +37,22 @@ def hamiltonian_identity_check(spec: Spectrum, alpha: float, g
     rhs = 1/(2 alpha) g^T (I - alpha P) g
     Returns (lhs, rhs, |lhs - rhs|).  alpha = 0 is undefined.
     """
+    _check_identity_args(spec, alpha)
+    return _identity(transition_matrix(spec), alpha, g)
+
+
+def _check_identity_args(spec: Spectrum, alpha: float) -> None:
     if alpha == 0.0:
         raise ZeroDivisionError("identity undefined at alpha = 0")
     if not 0.0 < alpha < 1.0:
         raise RangeError(f"alpha must lie in (0, 1), got {alpha}")
     if not spec.is_real:
         raise ReversibilityError("identity requires real eigenvalues")
+
+
+def _identity(p: np.ndarray, alpha: float, g) -> tuple[float, float, float]:
+    """The identity for one test vector g, given the dense P."""
     g = np.asarray(g, dtype=float)
-    p = transition_matrix(spec)
     diff = g[:, None] - g[None, :]
     lhs = 0.25 * float(np.sum(p * diff**2)) \
         + (1.0 - alpha) / (2.0 * alpha) * float(g @ g)
@@ -69,8 +77,20 @@ def hamiltonian_value(driver, spec: Spectrum, alpha: float) -> float:
     P g is the convolution with the validated transition kernel, taken
     through the lattice transform."""
     g = scaled_field_from_driver(driver, spec, alpha)
+    return _energy(g, _kernel_transform(transition_kernel(spec), spec),
+                   spec, alpha)
+
+
+def _kernel_transform(kernel: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """k_hat = q^(d/2) dft(k), so that dft(P f) = k_hat * dft(f)."""
     q, d = spec.q, spec.d
-    k_hat = math.sqrt(size(q, d)) * dft(transition_kernel(spec), q, d)
+    return math.sqrt(size(q, d)) * dft(kernel, q, d)
+
+
+def _energy(g: np.ndarray, k_hat: np.ndarray, spec: Spectrum,
+            alpha: float) -> float:
+    """(1/2 alpha) conj(g)^T (I - alpha P) g of a scaled field g."""
+    q, d = spec.q, spec.d
     pg = dft(k_hat * dft(g, q, d), q, d, inverse=True)
     val = np.real(np.conj(g) @ (g - alpha * pg)) / (2.0 * alpha)
     return float(val)
@@ -81,16 +101,21 @@ def identity_residuals(spec: Spectrum, alpha: float, rng, n_vectors: int
     """Worst identity residual, its relative form |lhs - rhs| / (1 + |lhs|)
     and the worst diagonalization gap |hamiltonian_value - (1/2) sum gr^2|
     over ``n_vectors`` draws; each draw takes a test vector g, then a
-    driver, from ``rng``."""
+    driver, from ``rng``.  P and its kernel transform are built once."""
     n = size(spec.q, spec.d)
+    _check_identity_args(spec, alpha)
+    kernel = transition_kernel(spec)
+    p = circulant_from_kernel(kernel, spec.q, spec.d)
+    k_hat = _kernel_transform(kernel, spec)
     res_max = rel_max = diag_gap = 0.0
     for _ in range(n_vectors):
         g = rng.standard_normal(n)
-        lhs, _, res = hamiltonian_identity_check(spec, alpha, g)
+        lhs, _, res = _identity(p, alpha, g)
         res_max = max(res_max, res)
         rel_max = max(rel_max, res / (1.0 + abs(lhs)))
         drv = rng.standard_normal(n)
-        diag_gap = max(diag_gap, abs(hamiltonian_value(drv, spec, alpha)
+        field = scaled_field_from_driver(drv, spec, alpha)
+        diag_gap = max(diag_gap, abs(_energy(field, k_hat, spec, alpha)
                                      - 0.5 * float(drv @ drv)))
     return res_max, rel_max, diag_gap
 

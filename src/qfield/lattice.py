@@ -130,8 +130,36 @@ def dft_naive(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     return f @ w.T
 
 
+def circulant_row(kernel: np.ndarray, x, q: int, d: int) -> np.ndarray:
+    """Row x of the circulant, M[x, y] = k(x - y), as a lattice array in y.
+
+    One ``np.take`` per digit of the ``(q,)*d`` view, reading k at
+    (x_j - y_j) mod q; the coordinates of x are taken mod q.
+    """
+    kernel = np.asarray(kernel)
+    n = size(q, d)
+    if kernel.shape != (n,):
+        raise ShapeError(f"kernel has shape {kernel.shape}, expected ({n},)")
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape != (d,):
+        raise ShapeError(f"point has shape {x.shape}, expected ({d},)")
+    # axis a of the (q,)*d view is digit d-1-a
+    row = kernel.reshape((q,) * d)
+    for j in range(d):
+        row = np.take(row, (x[j] - np.arange(q)) % q, axis=d - 1 - j)
+    return row.ravel()
+
+
 def circulant_from_kernel(kernel: np.ndarray, q: int, d: int) -> np.ndarray:
     """Expand a lattice kernel k(z) into the full matrix M[x, y] = k(x - y).
+
+    Row 0 is seeded with k(-y) by :func:`circulant_row`.  The rows are then
+    filled digit by digit: once the q^j rows whose digits j and above are
+    zero are in place, the rows x + s q^j (s = 1..q-1) are those rows
+    rolled by s along digit j of y, M[x + s e_j, y] = M[x, y - s e_j].
+    Each roll is two slice copies, so every entry is written once, in
+    contiguous runs of at least q^j, and nothing but the output is
+    allocated.
 
     Raises RangeError above ``MATERIAL_LIMIT`` lattice points.
     """
@@ -142,12 +170,15 @@ def circulant_from_kernel(kernel: np.ndarray, q: int, d: int) -> np.ndarray:
     if n > MATERIAL_LIMIT:
         raise RangeError(f"an {n} x {n} matrix exceeds the materialization "
                          f"limit of {MATERIAL_LIMIT} lattice points")
-    diff = (np.arange(q)[:, None] - np.arange(q)) % q  # (a - b) mod q
-    # the reshape puts z[d-1] on axis 0; each take turns one z axis into an
-    # (x_k, y_k) pair, last axis first so the earlier axis numbers stay
-    # put, and the transpose moves every x axis before every y axis
-    m = kernel.reshape((q,) * d)
-    for axis in reversed(range(d)):
-        m = np.take(m, diff, axis=axis)
-    return m.transpose(tuple(range(0, 2 * d, 2))
-                       + tuple(range(1, 2 * d, 2))).reshape(n, n)
+    m = np.empty((n, n), dtype=kernel.dtype)
+    m[0] = circulant_row(kernel, (0,) * d, q, d)
+    low = 1  # q^j: rows [0, low) are filled
+    for _ in range(d):
+        # y split as (digits above j, digit j, digits below j)
+        src = m[:low].reshape(low, n // (q * low), q, low)
+        for s in range(1, q):
+            dst = m[s * low:(s + 1) * low].reshape(src.shape)
+            dst[:, :, s:] = src[:, :, :q - s]
+            dst[:, :, :s] = src[:, :, q - s:]
+        low *= q
+    return m

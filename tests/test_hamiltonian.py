@@ -45,6 +45,23 @@ def test_identity_alpha_zero_errors():
         ham.hamiltonian_identity_check(spec, 0.0, [1.0, 0.0])
 
 
+def test_identity_residuals_equal_the_public_checks_bit_for_bit():
+    spec = walks.lazy_walk(3, 3, [0.2, 0.5, 0.9]).spectrum()
+    alpha, k = 0.55, 4
+    got = ham.identity_residuals(spec, alpha, np.random.default_rng(11), k)
+    rng = np.random.default_rng(11)
+    res_max = rel_max = diag_gap = 0.0
+    for _ in range(k):
+        lhs, _, res = ham.hamiltonian_identity_check(
+            spec, alpha, rng.standard_normal(27))
+        res_max = max(res_max, res)
+        rel_max = max(rel_max, res / (1.0 + abs(lhs)))
+        drv = rng.standard_normal(27)
+        diag_gap = max(diag_gap, abs(ham.hamiltonian_value(drv, spec, alpha)
+                                     - 0.5 * float(drv @ drv)))
+    assert got == (res_max, rel_max, diag_gap)
+
+
 def test_hamiltonian_value_diagonalizes():
     spec = walks.lazy_walk(2, 3, [0.3, 0.7]).spectrum()
     rng = np.random.default_rng(1)

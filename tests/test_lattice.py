@@ -174,11 +174,49 @@ def _circulant_oracle(kernel, q, d):
     return np.array([kernel[((x - states) % q) @ offsets] for x in states])
 
 
-@pytest.mark.parametrize("q,d", [(5, 1), (3, 3), (2, 8), (4, 4), (64, 2)])
+@pytest.mark.parametrize("q,d", [(5, 1), (3, 3), (2, 8), (4, 4), (64, 2),
+                                 (2, 1), (7, 2), (3, 5)])
 def test_circulant_from_kernel_matches_rank_oracle(q, d):
     kernel = np.random.default_rng(q * 10 + d).standard_normal(q**d)
     assert np.array_equal(lattice.circulant_from_kernel(kernel, q, d),
                           _circulant_oracle(kernel, q, d))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64])
+def test_circulant_from_kernel_keeps_the_kernel_dtype(dtype):
+    rng = np.random.default_rng(7)
+    kernel = (100 * rng.standard_normal(27)).astype(dtype)
+    if dtype is np.complex128:
+        kernel += 1j * rng.standard_normal(27)
+    mat = lattice.circulant_from_kernel(kernel, 3, 3)
+    assert mat.dtype == dtype
+    assert np.array_equal(mat, _circulant_oracle(kernel, 3, 3))
+
+
+@pytest.mark.parametrize("q,d", [(3, 3), (2, 6)])
+def test_circulant_row_is_a_row_of_the_matrix(q, d):
+    kernel = np.random.default_rng(q + 10 * d).standard_normal(q**d)
+    mat = lattice.circulant_from_kernel(kernel, q, d)
+    for x in lattice.all_states(q, d):
+        assert np.array_equal(lattice.circulant_row(kernel, x, q, d),
+                              mat[lattice.rank(x, q)])
+
+
+def test_circulant_row_matches_the_all_states_formula():
+    q, d = 5, 2
+    kernel = np.random.default_rng(52).standard_normal(q**d)
+    states = lattice.all_states(q, d)
+    offsets = q ** np.arange(d)
+    for x in states:
+        want = kernel[((x[None, :] - states) % q) @ offsets]
+        assert np.array_equal(lattice.circulant_row(kernel, x, q, d), want)
+
+
+def test_circulant_row_shape_errors():
+    with pytest.raises(lattice.ShapeError):
+        lattice.circulant_row(np.zeros(7), (0, 0, 0), 2, 3)
+    with pytest.raises(lattice.ShapeError):
+        lattice.circulant_row(np.zeros(8), (0, 0), 2, 3)
 
 
 @pytest.mark.parametrize("q,d", [(2, 12), (16, 3), (4096, 1)])

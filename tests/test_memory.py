@@ -1,5 +1,5 @@
-"""Peak-memory guards for the dense N^2 layers, the lattice transform and
-the Potts partition function.
+"""Peak-memory guards for the dense N^2 layers, one Green row, the lattice
+transform and the Potts partition function.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of
 one call is the memory that call allocates, output included.
@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from qfield import fields, hamiltonian, lattice, walks
+from qfield import fields, green, hamiltonian, lattice, walks
 
 
 def _traced_peak(fn, *args):
@@ -22,10 +22,19 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_circulant_peak_is_about_twice_its_output():
+def test_circulant_peak_is_about_one_output():
     kernel = np.random.default_rng(0).standard_normal(2**12)
     mat, peak = _traced_peak(lattice.circulant_from_kernel, kernel, 2, 12)
-    assert peak <= 2.1 * mat.nbytes, peak / mat.nbytes
+    assert peak <= 1.1 * mat.nbytes, peak / mat.nbytes
+
+
+def test_green_row_peak_is_a_few_kernels():
+    # an (N, d) int64 state table alone would be d = 16 kernels
+    op = green.green_exact(walks.UniformLaw(2, 16).spectrum(), 0.5,
+                           materialize=False)
+    row, peak = _traced_peak(op.row, (1, 0) * 8)
+    assert peak <= 4 * op.kernel.nbytes, peak / op.kernel.nbytes
+    assert abs(row.sum() - 1.0) < 1e-10
 
 
 def test_covariance_stderr_peak_is_a_few_inputs():
