@@ -29,6 +29,7 @@ from .lattice import (
     circulant_from_kernel,
     circulant_row,
     dft,
+    point,
     rank,
     size,
 )
@@ -58,7 +59,7 @@ class GreenOperator:
         return circulant_row(self.kernel, x, self.q, self.d)
 
     def entry(self, x, y) -> float:
-        z = (np.asarray(x, dtype=np.int64) - np.asarray(y)) % self.q
+        z = (point(x, self.q, self.d) - point(y, self.q, self.d)) % self.q
         return float(self.kernel[rank(z, self.q)])
 
 

@@ -11,12 +11,16 @@ The discrete Fourier transform used throughout is the unitary one,
     forward:  c[r] = q^(-d/2) * sum_x f[x] * theta^(-x.r)
     inverse:  f[x] = q^(-d/2) * sum_r c[r] * theta^(x.r)
 
-with theta = exp(2*pi*i/q), computed as d passes of the 1-D
-``np.fft.fft``/``ifft`` (``norm="ortho"``), one per digit.  Each pass
-runs over contiguous rows of length q and writes its digit back as the
-slowest one, so the digits rotate into rank order; the result equals
-``np.fft.fftn`` over the d lattice axes bit for bit.  A naive O(q^{2d})
-double-sum path is kept as a test oracle.
+with theta = exp(2*pi*i/q), computed as d passes, one per digit, each
+writing its digit back as the slowest one so the digits rotate into rank
+order.  For q >= 3 a pass is the 1-D ``np.fft.fft``/``ifft``
+(``norm="ortho"``) over contiguous rows of length q, written through the
+``out=`` argument that numpy added in 2.0.  For q = 2 it is the
+Walsh-Hadamard butterfly (a + b, a - b), scaled by the same 1/sqrt(2)
+that numpy hands pocketfft, which is what pocketfft computes for a
+length-2 row; it needs only whole-array adds, subtracts and multiplies.
+Either way the result equals ``np.fft.fftn`` over the d lattice axes bit
+for bit.  A naive O(q^{2d}) double-sum path is kept as a test oracle.
 
 Dense matrices over lattice pairs, such as the circulant
 M[x, y] = k(x - y), are built only up to ``MATERIAL_LIMIT`` = 4096
@@ -56,6 +60,17 @@ def rank(entries, q: int) -> int:
     return int(np.dot(x, q ** np.arange(x.size, dtype=np.int64)))
 
 
+def point(entries, q: int, d: int) -> np.ndarray:
+    """A lattice point as an int64 vector: ShapeError unless it has d
+    entries, RangeError unless each lies in [0, q), as in :func:`rank`."""
+    x = np.asarray(entries, dtype=np.int64)
+    if x.shape != (d,):
+        raise ShapeError(f"point has shape {x.shape}, expected ({d},)")
+    if np.any(x < 0) or np.any(x >= q):
+        raise RangeError(f"entries must lie in [0, {q}): got {entries!r}")
+    return x
+
+
 def unrank(i: int, q: int, d: int) -> tuple[int, ...]:
     """Inverse of :func:`rank`.  Raises RangeError for i outside [0, q**d)."""
     n = size(q, d)
@@ -90,17 +105,28 @@ def axis_tensor(vectors: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
+# the factor numpy's fft hands pocketfft for norm="ortho" at length 2
+_ORTHO_2 = np.reciprocal(np.sqrt(2.0))
+
+
 def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     """Unitary DFT over the lattice.
 
     ``values`` may carry leading batch dimensions; the transform acts on
     the last axis, which must have length q**d.  Cost O(q^d * d * log q)
-    per batch element.
+    per batch element: for q >= 3, d ``np.fft`` passes written through
+    ``out=`` (numpy >= 2.0); for q = 2, d add/subtract/scale butterflies
+    over the whole array, equal to ``fftn`` bit for bit because they are
+    the operations pocketfft runs on a length-2 row (see
+    :func:`_walsh_hadamard`).
     """
-    f = np.asarray(values, dtype=complex)
+    f = np.asarray(values)
     n = size(q, d)
     if f.shape[-1] != n:
         raise ShapeError(f"last axis has length {f.shape[-1]}, expected {n}")
+    if q == 2:
+        return _walsh_hadamard(f, d)
+    f = f.astype(complex, copy=False)
     # each pass transforms the fastest digit x[0] over contiguous rows of
     # length q and writes it back as the slowest digit, so after d passes
     # the digits are in rank order again; the passes alternate between two
@@ -115,6 +141,42 @@ def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
                   out=dst.reshape(-1, q, rest).transpose(0, 2, 1))
         src = dst
     return src
+
+
+def _walsh_hadamard(f: np.ndarray, d: int) -> np.ndarray:
+    """The q = 2 transform, forward and inverse alike, as d butterflies.
+
+    Each pass maps the adjacent pairs (a, b) of the fastest digit to the
+    two contiguous halves a + b and a - b, making it the slowest digit,
+    and scales the float view by 1/sqrt(2).  pocketfft computes a length-2
+    row the same way and scales real and imaginary parts apart (a complex
+    multiply would flip the sign of some zeros), so with digit 0 first and
+    every pass scaled the bits equal ``fftn``.  Every operand is one
+    strided run over the whole batch, so numpy allocates no iterator
+    buffer.  The batch axes rotate to the fastest place too; one
+    transposed copy puts them back in front.  A converted or flattened
+    copy of the input serves as the second buffer.
+    """
+    n = f.shape[-1]
+    batch = f.size // n
+    half = f.size // 2
+    src = f.astype(complex, copy=False).reshape(-1)
+    buffers = [np.empty(f.size, dtype=complex)]
+    if d > 1 or batch > 1:  # more than one write needs a second buffer
+        shared = np.may_share_memory(src, f)
+        buffers.append(np.empty(f.size, dtype=complex) if shared else src)
+    for k in range(d):
+        dst = buffers[k % 2]
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        parts = dst.view(float)
+        parts *= _ORTHO_2
+        src = dst
+    if batch > 1:
+        dst = buffers[d % 2]
+        dst.reshape(batch, n)[...] = src.reshape(n, batch).T
+        src = dst
+    return src.reshape(f.shape)
 
 
 def dft_naive(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
@@ -134,15 +196,14 @@ def circulant_row(kernel: np.ndarray, x, q: int, d: int) -> np.ndarray:
     """Row x of the circulant, M[x, y] = k(x - y), as a lattice array in y.
 
     One ``np.take`` per digit of the ``(q,)*d`` view, reading k at
-    (x_j - y_j) mod q; the coordinates of x are taken mod q.
+    (x_j - y_j) mod q.  Raises RangeError unless every coordinate of x
+    lies in [0, q).
     """
     kernel = np.asarray(kernel)
     n = size(q, d)
     if kernel.shape != (n,):
         raise ShapeError(f"kernel has shape {kernel.shape}, expected ({n},)")
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (d,):
-        raise ShapeError(f"point has shape {x.shape}, expected ({d},)")
+    x = point(x, q, d)
     # axis a of the (q,)*d view is digit d-1-a
     row = kernel.reshape((q,) * d)
     for j in range(d):

@@ -192,6 +192,21 @@ def test_green_matrix_free_above_threshold():
     assert row.shape == (8192,)
 
 
+def test_green_operator_rejects_points_off_the_lattice():
+    op = green.green_exact(walks.UniformLaw(3, 2).spectrum(), 0.5,
+                           materialize=False)
+    for bad in [(5, -1), (3, 0), (0, -1)]:
+        with pytest.raises(lattice.RangeError):
+            op.row(bad)
+        with pytest.raises(lattice.RangeError):
+            op.entry(bad, (0, 0))
+        with pytest.raises(lattice.RangeError):
+            op.entry((0, 0), bad)
+    with pytest.raises(lattice.ShapeError):
+        op.entry((0,), (0, 0))
+    assert op.entry((2, 1), (0, 0)) == op.row((2, 1))[0]
+
+
 def test_green_mc_point_mass_at_alpha_zero():
     law = walks.lazy_walk(2, 2, [0.5])
     emp = green.green_mc(law, 0.0, (1, 1), 100, seed=3)

@@ -139,25 +139,42 @@ def _fftn_dft(values, q, d, inverse):
                      norm="ortho").reshape(f.shape)
 
 
+def _same_bits(a, b):
+    """Equal shapes and equal bits, so -0.0 and 0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _special_inputs(rng, n):
+    """Signed zeros, a strided column slice and an int64 array."""
+    zeros = np.empty((3, n), dtype=complex)
+    zeros.real = rng.choice([-0.0, 0.0], size=(3, n))
+    zeros.imag = rng.choice([-0.0, 0.0], size=(3, n))
+    zeros[2, ::3] = 1.0 - 1.0j
+    wide = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    slab = rng.standard_normal((2, n, 2)) + 1j * rng.standard_normal((2, n, 2))
+    ints = rng.integers(-5, 6, size=(3, n))
+    return [zeros, wide[:, 1], slab[..., 0], ints]
+
+
+# q = 2 runs the butterfly passes: d = 14 is beyond MATERIAL_LIMIT
 @pytest.mark.parametrize("q,d,n", [
     (2, 6, 20000), (2, 12, 64), (4, 3, 20000), (3, 7, 64), (16, 3, 64),
     (4096, 1, 64), (64, 2, None), (2, 12, None), (5, 1, None),
-    (4, 5, None), (7, 4, 3)])
+    (4, 5, None), (7, 4, 3), (2, 1, 5), (2, 3, 7), (2, 14, None)])
 def test_dft_equals_fftn_bit_for_bit(q, d, n):
     rng = np.random.default_rng(q * 100 + d)
     batches = [(), (0, 8), (2, 3, 8)] + ([(n,)] if n else [])
-    for batch in batches:
-        f = rng.standard_normal(batch + (q**d,)) \
-            + 1j * rng.standard_normal(batch + (q**d,))
+    inputs = [rng.standard_normal(batch + (q**d,))
+              + 1j * rng.standard_normal(batch + (q**d,)) for batch in batches]
+    inputs += [rng.standard_normal(q**d)] + _special_inputs(rng, q**d)
+    for f in inputs:
         before = f.copy()
         for inverse in (False, True):
             got = lattice.dft(f, q, d, inverse=inverse)
             want = _fftn_dft(f, q, d, inverse)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want), (q, d, batch, inverse)
+            assert _same_bits(got, want), (q, d, f.shape, f.dtype, inverse)
             assert np.array_equal(f, before)
-    real = rng.standard_normal(q**d)
-    assert np.array_equal(lattice.dft(real, q, d), _fftn_dft(real, q, d, False))
 
 
 def test_circulant_from_kernel():

@@ -9,6 +9,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from qfield import fields, green, hamiltonian, lattice, walks
 
@@ -44,18 +45,20 @@ def test_covariance_stderr_peak_is_a_few_inputs():
     assert peak <= 3 * values.nbytes, peak / values.nbytes
 
 
-def test_dft_peak_is_no_more_than_fftn():
+# q = 2 runs the butterfly passes, q = 4 the np.fft passes; both 4096 points
+@pytest.mark.parametrize("q,d", [(2, 12), (4, 6)])
+def test_dft_peak_is_no_more_than_fftn(q, d):
     rng = np.random.default_rng(2)
-    values = rng.standard_normal((64, 2**12)) + 1j * rng.standard_normal((64, 2**12))
+    values = rng.standard_normal((64, q**d)) + 1j * rng.standard_normal((64, q**d))
 
     def fftn(f):
-        return np.fft.fftn(f.reshape((64,) + (2,) * 12), axes=range(1, 13),
+        return np.fft.fftn(f.reshape((64,) + (q,) * d), axes=range(1, d + 1),
                            norm="ortho").reshape(f.shape)
 
     # the first np.fft call imports numpy.fft; keep that out of both peaks
-    lattice.dft(values[:1], 2, 12)
+    lattice.dft(values[:1], q, d)
     fftn(values)
-    _, peak = _traced_peak(lattice.dft, values, 2, 12)
+    _, peak = _traced_peak(lattice.dft, values, q, d)
     _, fftn_peak = _traced_peak(fftn, values)
     assert peak <= fftn_peak, (peak, fftn_peak)
 
