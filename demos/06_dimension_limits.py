@@ -35,7 +35,8 @@ for d in (40, 80, 160):
 
 print("\n== Gaussian transform identity ==")
 omega = np.array([0.0, 1.0])
-mc, closed, se = limits.transform_identity(omega, (2,), q, 200_000, seed=0)
+[(mc, closed, se)] = limits.transform_identity(omega, [(2,)], q, 200_000,
+                                               seed=0)
 print(f"  MC {mc:.5f} vs closed {closed:.5f} (se {se:.1e})")
 
 print("\n== scaled Green converges to the limit density ==")

@@ -141,19 +141,33 @@ def _emit(args, result: dict, t0: float) -> None:
         print(text)
 
 
+# values per block of CSV rows: bounds the Python floats alive at once
+_CSV_BLOCK_VALUES = 1 << 15
+
+
 def _write_complex_csv(path: str, rows: np.ndarray, prefix: str) -> None:
+    """One CSV line per row, columns ``{prefix}{j}_re, {prefix}{j}_im``.
+
+    Real rows get the imaginary column "0.0".  Rows go out in blocks of
+    about _CSV_BLOCK_VALUES interleaved re/im floats; ``csv`` writes a float
+    as its ``repr``, the shortest string that round-trips.
+    """
     rows = np.atleast_2d(rows)
+    n_rows, n_cols = rows.shape
     header = []
-    for j in range(rows.shape[1]):
+    for j in range(n_cols):
         header += [f"{prefix}{j}_re", f"{prefix}{j}_im"]
+    step = max(1, _CSV_BLOCK_VALUES // (2 * n_cols))
     with _out_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            flat = []
-            for v in row:
-                flat += [repr(float(np.real(v))), repr(float(np.imag(v)))]
-            writer.writerow(flat)
+        for start in range(0, n_rows, step):
+            part = rows[start:start + step]
+            block = np.zeros((len(part), 2 * n_cols))
+            block[:, 0::2] = part.real
+            if np.iscomplexobj(part):
+                block[:, 1::2] = part.imag
+            writer.writerows(block.tolist())
 
 
 def _complex_pairs(values) -> list[list[float]]:
@@ -198,7 +212,7 @@ def cmd_green(args, t0):
     else:
         if not args.out:
             raise ConfigError("$.out: full-matrix output needs --out FILE.csv")
-        _write_complex_csv(args.out, g.matrix.astype(complex), "y")
+        _write_complex_csv(args.out, g.matrix, "y")
         _emit(argparse.Namespace(**{**vars(args), "out": None}), {
             "alpha": args.alpha, "matrix_csv": args.out,
             "rows": int(g.matrix.shape[0]),
@@ -388,15 +402,13 @@ def cmd_limit(args, t0):
     elif args.check == "transform":
         omega = np.zeros(q)
         omega[1:] = rng.standard_normal(q - 1)
-        rows = []
-        for l in krawtchouk.degree_indices(q, 3, 2):
-            mc, rhs, se = limits.transform_identity(omega, l, q,
-                                                    args.mc or 200_000,
-                                                    args.seed)
-            rows.append({"l": list(l), "mc": [mc.real, mc.imag],
-                         "closed": [rhs.real, rhs.imag],
-                         "stderr": se,
-                         "pass": bool(abs(mc - rhs) <= 4.0 * se + 1e-12)})
+        degrees = krawtchouk.degree_indices(q, 3, 2)
+        checks = limits.transform_identity(omega, degrees, q,
+                                           args.mc or 200_000, args.seed)
+        rows = [{"l": list(l), "mc": [mc.real, mc.imag],
+                 "closed": [rhs.real, rhs.imag], "stderr": se,
+                 "pass": bool(abs(mc - rhs) <= 4.0 * se + 1e-12)}
+                for l, (mc, rhs, se) in zip(degrees, checks)]
         result = {"omega": omega.tolist(), "rows": rows}
     elif args.check == "green-limit":
         spec = pointprocess.lazy_spec(2, args.alpha, [0.2, 0.4])

@@ -126,15 +126,18 @@ def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
         raise ShapeError(f"last axis has length {f.shape[-1]}, expected {n}")
     if q == 2:
         return _walsh_hadamard(f, d)
-    f = f.astype(complex, copy=False)
     # each pass transforms the fastest digit x[0] over contiguous rows of
     # length q and writes it back as the slowest digit, so after d passes
     # the digits are in rank order again; the passes alternate between two
-    # buffers and never write the caller's array
+    # buffers and never write the caller's array, but a converted or
+    # flattened copy of it serves as the second buffer
     transform = np.fft.ifft if inverse else np.fft.fft
     rest = n // q
-    buffers = [np.empty(f.shape, dtype=complex) for _ in range(min(d, 2))]
-    src = f
+    src = np.ascontiguousarray(f, dtype=complex)
+    buffers = [np.empty(f.shape, dtype=complex)]
+    if d > 1:
+        shared = np.may_share_memory(src, f)
+        buffers.append(np.empty(f.shape, dtype=complex) if shared else src)
     for k in range(d):
         dst = buffers[k % 2]
         transform(src.reshape(-1, rest, q), axis=-1, norm="ortho",

@@ -163,11 +163,21 @@ def limit_krawtchouk_hermite(m_full, l, q: int) -> complex:
     return complex(limit_krawtchouk_batch(m_full, l, q)[0])
 
 
-def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int) -> np.ndarray:
-    """Route-B evaluation over many full type vectors (n, q)."""
+def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int,
+                           table: np.ndarray | None = None) -> np.ndarray:
+    """Route-B evaluation over many full type vectors (n, q).
+
+    ``table`` is an optional ``hermite_table(k, m_samples, q)`` with
+    k >= |l|; its rows 0..|l| are the ones this call would build, so one
+    table serves every degree up to k.
+    """
     m_samples = np.atleast_2d(np.asarray(m_samples, dtype=float))
     s = sum(int(v) for v in l)
-    table = hermite_table(s, m_samples, q)  # (s+1, n, q)
+    if table is None:
+        table = hermite_table(s, m_samples, q)  # (s+1, n, q)
+    elif table.shape[0] <= s:
+        raise RangeError(f"a Hermite table of {table.shape[0]} rows cannot "
+                         f"serve degree {s}")
     acc = np.zeros(m_samples.shape[0], dtype=complex)
     for a, coeff in _hermite_expansion_coeffs(l, q):
         prod = np.ones(m_samples.shape[0])
@@ -261,31 +271,42 @@ def gaussian_char(omega, q: int) -> complex:
                             + np.sum(omega) ** 2 / (2 * q**2)))
 
 
-def transform_identity(omega, l, q: int, n_samples: int, seed: int
-                       ) -> tuple[complex, complex, float]:
-    """(MC transform, closed form, standard error) for one (omega, l).
+def transform_identity(omega, degrees, q: int, n_samples: int, seed: int
+                       ) -> list[tuple[complex, complex, float]]:
+    """(MC transform, closed form, standard error) for each l in ``degrees``.
 
     E[e^(i w.M) Q_l(M; inf)] = E[e^(i w.M)] (i/q)^|l|
                                prod_k (sum_a w[a] theta_k^a)^l[k] / l[k]!.
+
+    Every degree reads the same ``n_samples`` draws of M from ``seed``, the
+    same phase e^(i w.M) and one Hermite table at the largest |l|, so each
+    triple equals the one a single-degree call with that seed returns.
     """
     if n_samples < 2:
         raise RangeError(
             f"a standard error needs at least 2 samples, got {n_samples}")
     omega = np.asarray(omega, dtype=float)
-    l = tuple(int(v) for v in l)
+    degrees = [tuple(int(v) for v in l) for l in degrees]
     rng = np.random.default_rng(seed)
     m = sample_type_gaussian(q, n_samples, rng)
-    samples = np.exp(1j * m @ omega) * limit_krawtchouk_batch(m, l, q)
-    mc = samples.mean()
-    se = math.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1))
-                   / n_samples)
+    phase = np.exp(1j * m @ omega)
+    table = hermite_table(max((sum(l) for l in degrees), default=0), m, q)
     theta = roots(q)
     a = np.arange(q)
-    rhs = gaussian_char(omega, q) * (1j / q) ** sum(l)
-    for k in range(1, q):
-        rhs *= np.sum(omega * theta[(k * a) % q]) ** l[k - 1] \
-            / math.factorial(l[k - 1])
-    return complex(mc), complex(rhs), se
+    char = gaussian_char(omega, q)
+    out = []
+    for l in degrees:
+        # phase on the left: complex products are not bitwise commutative
+        samples = np.multiply(phase, limit_krawtchouk_batch(m, l, q, table))
+        mc = samples.mean()
+        se = math.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1))
+                       / n_samples)
+        rhs = char * (1j / q) ** sum(l)
+        for k in range(1, q):
+            rhs *= np.sum(omega * theta[(k * a) % q]) ** l[k - 1] \
+                / math.factorial(l[k - 1])
+        out.append((complex(mc), complex(rhs), se))
+    return out
 
 
 def limit_green_density(m_plus, n_plus, lambda_of_l, q: int,

@@ -51,6 +51,7 @@ from .lattice import (
     axis_tensor,
     circulant_from_kernel,
     dft,
+    point,
     rank,
     size,
 )
@@ -80,6 +81,16 @@ def _check_pmf(p, q: int, where: str) -> np.ndarray:
     if abs(p.sum() - 1.0) > PMF_TOL:
         raise RangeError(f"{where}: pmf sums to {p.sum()!r}, not 1")
     return p
+
+
+def _draw_categorical(rng: np.random.Generator, p: np.ndarray, shape):
+    """Indices drawn from the pmf ``p`` by inverse CDF: the same uniforms
+    and the same values as ``rng.choice(len(p), shape, p=p)``, without its
+    per-call argument checks (the laws check their pmfs once, when built).
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(shape), side="right")
 
 
 def xi_transform(p: np.ndarray) -> np.ndarray:
@@ -271,7 +282,7 @@ class ProductIIDLaw(IncrementLaw):
         return Spectrum(axis_tensor([xi] * self.d), self.q, self.d)
 
     def sample(self, rng, n):
-        return rng.choice(self.q, size=(n, self.d), p=self.p)
+        return _draw_categorical(rng, self.p, (n, self.d))
 
     def pmf(self):
         return axis_tensor([self.p] * self.d).real
@@ -315,12 +326,12 @@ class DeFinettiMixtureLaw(IncrementLaw):
         return Spectrum(rho, self.q, self.d)
 
     def sample(self, rng, n):
-        comp = rng.choice(len(self.weights), size=n, p=self.weights)
+        comp = _draw_categorical(rng, self.weights, n)
         out = np.empty((n, self.d), dtype=np.int64)
         for i, p in enumerate(self.pmfs):
             idx = np.nonzero(comp == i)[0]
             if idx.size:
-                out[idx] = rng.choice(self.q, size=(idx.size, self.d), p=p)
+                out[idx] = _draw_categorical(rng, p, (idx.size, self.d))
         return out
 
     def pmf(self):
@@ -398,7 +409,7 @@ class SparseExchangeableLaw(IncrementLaw):
     def sample(self, rng, n):
         out = rng.integers(0, self.q, size=(n, self.d))
         positions = np.argsort(rng.random((n, self.d)), axis=1)[:, : self.c]
-        flat = rng.choice(len(self.joint), size=n, p=self.joint)
+        flat = _draw_categorical(rng, self.joint, n)
         vals = (flat[:, None] // self.q ** np.arange(self.c)[None, :]) % self.q
         np.put_along_axis(out, positions, vals, axis=1)
         return out
@@ -622,20 +633,25 @@ def simulate_killed(
 ) -> np.ndarray:
     """Endpoints X_T of n_walks killed walks, shape (n_walks, d).
 
-    T = 0 returns x0 unmoved.  Deterministic given (seed, workers).
+    T = 0 returns x0 unmoved.  Deterministic given (seed, workers).  Step t
+    draws one increment per walk with T > t, in walk order, in a single
+    ``law.sample`` call; those walks are filtered from the ones of step
+    t - 1.  The sums are reduced mod q once, at the end, which gives the
+    same endpoints as reducing after every step because x0 is checked to
+    lie on the lattice.
     """
-    x0 = np.asarray(x0, dtype=np.int64)
+    x0 = point(x0, law.q, law.d)
 
     def draw(rng, m):
         horizon = killing.sample(rng, m)
         pos = np.tile(x0, (m, 1))
-        alive = horizon.copy()
-        while True:
-            active = np.nonzero(alive > 0)[0]
-            if active.size == 0:
-                break
-            pos[active] = (pos[active] + law.sample(rng, active.size)) % law.q
-            alive[active] -= 1
+        active = np.nonzero(horizon)[0]
+        t = 0
+        while active.size:
+            pos[active] += law.sample(rng, active.size)
+            t += 1
+            active = active[horizon[active] > t]
+        pos %= law.q
         return pos
 
     parts = _mc.run_chunked(n_walks, seed, workers, draw)

@@ -270,8 +270,8 @@ def test_criterion_10_clt_layer():
     omega = np.array([0.0, 1.0])
     worst_sigma = 0.0
     for i, l in enumerate([(1,), (2,), (3,)]):
-        mc, rhs, se = limits.transform_identity(omega, l, 2, 10**6,
-                                                seed=500 + i)
+        [(mc, rhs, se)] = limits.transform_identity(omega, [l], 2, 10**6,
+                                                    seed=500 + i)
         assert abs(mc - rhs) <= 4 * se, (l, mc, rhs, se)
         worst_sigma = max(worst_sigma, abs(mc - rhs) / se)
     spec = pp.lazy_spec(2, 0.6, [0.2, 0.4])

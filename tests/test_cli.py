@@ -64,6 +64,39 @@ def test_green_matrix_csv(tmp_path):
     assert np.max(np.abs(data[:, 1::2])) < 1e-12
 
 
+def _csv_reference(rows, prefix):
+    """The CSV text with each cell written as repr(float) of re and im."""
+    rows = np.atleast_2d(rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow([f"{prefix}{j}_{part}" for j in range(rows.shape[1])
+                     for part in ("re", "im")])
+    for row in rows:
+        writer.writerow([repr(float(f(v))) for v in row
+                         for f in (np.real, np.imag)])
+    return text.getvalue().encode()
+
+
+def _csv_cases():
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
+    z[0] = [-0.0, complex(np.nan, -0.0), complex(np.inf, -np.inf),
+            complex(1e-300, -1e-300), complex(-0.0, np.nan)]
+    big = rng.standard_normal((3000, 30))  # several blocks of rows
+    big[7, 3] = -0.0
+    return {"complex": z, "real": z.real.copy(), "complex row": z[0],
+            "real row": z.real[0], "strided": z[::3, ::2],
+            "strided real": z.real[1::2, ::-1], "blocks": big}
+
+
+@pytest.mark.parametrize("name", list(_csv_cases()))
+def test_csv_bytes_equal_per_cell_repr(tmp_path, name):
+    rows = _csv_cases()[name]
+    out = tmp_path / "rows.csv"
+    cli._write_complex_csv(str(out), rows, "g")
+    assert out.read_bytes() == _csv_reference(rows, "g")
+
+
 def test_partition_worked_value():
     doc = run_json("partition", "--law", SWAP_LAW, "--alpha", "0.5",
                    "--beta", "6.2831853")

@@ -177,18 +177,57 @@ def test_complex_argument_gaussian_identity():
 
 def test_transform_identity_cases():
     # omega = 0, |l| >= 1: both sides vanish
-    mc, rhs, se = limits.transform_identity(np.zeros(2), (1,), 2, 2000, seed=0)
+    [(mc, rhs, se)] = limits.transform_identity(np.zeros(2), [(1,)], 2, 2000,
+                                                seed=0)
     assert abs(rhs) < 1e-15 and abs(mc) <= 5 * se
     # l = 0: transform of the constant polynomial
     omega = np.array([0.0, 0.8])
-    mc0, rhs0, se0 = limits.transform_identity(omega, (0,), 2, 50_000, seed=1)
+    [(mc0, rhs0, se0)] = limits.transform_identity(omega, [(0,)], 2, 50_000,
+                                                   seed=1)
     assert abs(rhs0 - limits.gaussian_char(omega, 2)) < 1e-14
     assert abs(mc0 - rhs0) <= 4 * se0 + 1e-12
-    mc1, rhs1, se1 = limits.transform_identity(omega, (1,), 2, 300_000, seed=2)
+    [(mc1, rhs1, se1)] = limits.transform_identity(omega, [(1,)], 2, 300_000,
+                                                   seed=2)
     assert abs(mc1 - rhs1) <= 4 * se1
     # one sample has no standard error
     with pytest.raises(lattice.RangeError):
-        limits.transform_identity(omega, (1,), 2, 1, seed=3)
+        limits.transform_identity(omega, [(1,)], 2, 1, seed=3)
+
+
+def _transform_reference(omega, l, q, n_samples, seed):
+    """One (omega, l) as a single-degree transform_identity computed it."""
+    m = limits.sample_type_gaussian(q, n_samples, np.random.default_rng(seed))
+    samples = np.exp(1j * m @ omega) * limits.limit_krawtchouk_batch(m, l, q)
+    se = math.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1))
+                   / n_samples)
+    return complex(samples.mean()), se
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_transform_identity_degrees_share_one_draw_bit_for_bit(q):
+    # complex a*b and b*a can differ in the last bit, so this also pins
+    # the operand order of the phase times the polynomial
+    omega = np.zeros(q)
+    omega[1:] = np.random.default_rng(q).standard_normal(q - 1)
+    degrees = kw.degree_indices(q, 3, 2)
+    together = limits.transform_identity(omega, degrees, q, 20_000, seed=5)
+    assert len(together) == len(degrees)
+    for l, triple in zip(degrees, together):
+        alone = limits.transform_identity(omega, [l], q, 20_000, seed=5)
+        assert alone == [triple], l
+        mc, se = _transform_reference(omega, l, q, 20_000, 5)
+        assert (triple[0], triple[2]) == (mc, se), l
+
+
+def test_krawtchouk_batch_shared_table_bit_for_bit():
+    q = 3
+    m = limits.sample_type_gaussian(q, 500, np.random.default_rng(4))
+    table = limits.hermite_table(4, m, q)
+    for l in kw.degree_indices(q, 5, 4):
+        assert np.array_equal(limits.limit_krawtchouk_batch(m, l, q, table),
+                              limits.limit_krawtchouk_batch(m, l, q))
+    with pytest.raises(lattice.RangeError):
+        limits.limit_krawtchouk_batch(m, (3, 2), q, table)
 
 
 def test_limit_green_density_truncation_monotone_at_center():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qfield import green, lattice, walks
+from qfield import _mc, green, lattice, walks
 from qfield import krawtchouk as kw
 
 
@@ -213,6 +213,85 @@ def test_killed_walk_workers_deterministic():
     a = walks.simulate_killed(law, (0, 0), kill, seed=9, n_walks=500, workers=3)
     b = walks.simulate_killed(law, (0, 0), kill, seed=9, n_walks=500, workers=3)
     assert np.array_equal(a, b)
+
+
+def _choice_sample(law, rng, n):
+    """The increments each law drew through ``rng.choice``."""
+    if isinstance(law, walks.ProductIIDLaw):
+        return rng.choice(law.q, size=(n, law.d), p=law.p)
+    if isinstance(law, walks.DeFinettiMixtureLaw):
+        comp = rng.choice(len(law.weights), size=n, p=law.weights)
+        out = np.empty((n, law.d), dtype=np.int64)
+        for i, p in enumerate(law.pmfs):
+            idx = np.nonzero(comp == i)[0]
+            if idx.size:
+                out[idx] = rng.choice(law.q, size=(idx.size, law.d), p=p)
+        return out
+    out = rng.integers(0, law.q, size=(n, law.d))
+    positions = np.argsort(rng.random((n, law.d)), axis=1)[:, : law.c]
+    flat = rng.choice(len(law.joint), size=n, p=law.joint)
+    vals = (flat[:, None] // law.q ** np.arange(law.c)[None, :]) % law.q
+    np.put_along_axis(out, positions, vals, axis=1)
+    return out
+
+
+def _killed_reference(law, x0, killing, seed, n_walks, workers):
+    """Killed endpoints by the step loop that reduces mod q every step."""
+    x0 = np.asarray(x0, dtype=np.int64)
+
+    def draw(rng, m):
+        horizon = killing.sample(rng, m)
+        pos = np.tile(x0, (m, 1))
+        alive = horizon.copy()
+        while True:
+            active = np.nonzero(alive > 0)[0]
+            if active.size == 0:
+                break
+            step = _choice_sample(law, rng, active.size)
+            pos[active] = (pos[active] + step) % law.q
+            alive[active] -= 1
+        return pos
+
+    return np.concatenate(_mc.run_chunked(n_walks, seed, workers, draw))
+
+
+SAMPLED_LAWS = {
+    "lazy_walk": walks.lazy_walk(2, 6, [0.3, 0.7], [0.4, 0.6]),
+    "product_iid": walks.builtin_law("product_iid", 5, 3),
+    "definetti_mixture": walks.builtin_law("definetti_mixture", 3, 3),
+    "sparse_exchangeable": walks.builtin_law("sparse_exchangeable", 3, 4),
+    "zero_mass_at_ends": walks.ProductIIDLaw(4, 3, [0.0, 0.5, 0.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLED_LAWS))
+def test_law_sample_equals_choice_draws(name):
+    law = SAMPLED_LAWS[name]
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for n in (0, 1, 777):
+        got = law.sample(rng, n)
+        want = _choice_sample(law, ref_rng, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the same uniforms were consumed
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("name", ["lazy_walk", "product_iid"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_killed_endpoints_equal_stepwise_reference(name, workers):
+    law = SAMPLED_LAWS[name]
+    x0 = (1,) * law.d
+    kill = walks.KillingLaw(0.8)
+    got = walks.simulate_killed(law, x0, kill, seed=21, n_walks=3001,
+                                workers=workers)
+    want = _killed_reference(law, x0, kill, 21, 3001, workers)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_killed_walk_start_must_lie_on_the_lattice():
+    law = walks.lazy_walk(3, 2, [0.5])
+    with pytest.raises(lattice.RangeError):
+        walks.simulate_killed(law, (3, 0), walks.KillingLaw(0.5), seed=1)
 
 
 def test_killing_law_pmf_mass_and_horizon():
