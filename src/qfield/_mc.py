@@ -1,61 +1,58 @@
-"""Seeded, worker-count-deterministic Monte Carlo plumbing.
+"""Seeded Monte Carlo whose output depends on the seed alone.
 
-Every stochastic routine takes an explicit integer seed and an optional
-worker count.  Work is split into one fixed chunk per worker; each chunk
-draws from an independent substream spawned from (seed, worker index).
-Results are combined in worker order, so output depends only on
-(seed, workers), never on scheduling.
+Every stochastic routine takes an explicit integer seed.  The draws are
+cut into blocks of ``BLOCK``; block i draws from its own substream
+``SeedSequence(seed, spawn_key=(i,))`` and the blocks are joined in block
+order.  A worker count only decides how many threads run the blocks, so
+output never depends on it, nor on scheduling.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .lattice import RangeError
 
-def substreams(seed: int, workers: int) -> list[np.random.Generator]:
-    """Independent generators for each worker, derived from the seed."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    children = np.random.SeedSequence(seed).spawn(workers)
-    return [np.random.default_rng(c) for c in children]
-
-
-def chunk_sizes(total: int, workers: int) -> list[int]:
-    """Split ``total`` draws into ``workers`` near-equal fixed chunks."""
-    base, extra = divmod(total, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+BLOCK = 2**15
 
 
 def run_chunked(
     total: int,
     seed: int,
     workers: int,
-    draw: Callable[[np.random.Generator, int], object],
-) -> list[object]:
-    """Run ``draw(rng, count)`` once per worker; return results in worker order."""
-    rngs = substreams(seed, workers)
-    sizes = chunk_sizes(total, workers)
-    jobs = [(rng, m) for rng, m in zip(rngs, sizes) if m > 0]
-    if workers == 1 or len(jobs) <= 1:
-        return [draw(rng, m) for rng, m in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(draw, rng, m) for rng, m in jobs]
-        return [f.result() for f in futures]
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+) -> np.ndarray:
+    """``draw(rng, m)`` per block of ``total`` draws, joined along axis 0.
+
+    Block 0 draws from ``SeedSequence(seed).spawn(1)[0]``; one block
+    returns ``draw``'s array itself.
+    """
+    if total < 1 or workers < 1:
+        raise RangeError(f"need total >= 1 and workers >= 1, "
+                         f"got {total} and {workers}")
+    n_blocks = -(-total // BLOCK)
+
+    def block(i: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        return draw(rng, min(BLOCK, total - i * BLOCK))
+
+    if workers == 1 or n_blocks == 1:
+        parts = [block(i) for i in range(n_blocks)]
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+            parts = list(pool.map(block, range(n_blocks)))
+    return parts[0] if n_blocks == 1 else np.concatenate(parts)
 
 
 def mean_and_stderr(samples: np.ndarray) -> tuple[complex, float]:
-    """Sample mean and its standard error (complex-valued samples allowed)."""
+    """Mean over axis 0 and the largest entry's standard error; complex
+    samples add the variances of their real and imaginary parts."""
     samples = np.asarray(samples)
     n = samples.shape[0]
-    mean = samples.mean(axis=0)
     if n < 2:
-        return mean, float("inf")
+        raise RangeError(f"a standard error needs at least 2 samples, got {n}")
     var = samples.real.var(axis=0, ddof=1) + samples.imag.var(axis=0, ddof=1)
-    return mean, float(np.sqrt(np.max(var) / n))
-
-
-def stack_results(parts: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.asarray(p) for p in parts], axis=0)
+    return samples.mean(axis=0), float(np.sqrt(np.max(var) / n))

@@ -7,7 +7,8 @@ Results are JSON documents {"manifest": ..., "result": ...}; matrices
 and field samples go to CSV (header row, complex values as re/im column
 pairs).  The manifest records version, a hash of the effective config,
 the seed, thread count and wall time; everything under "result" is
-byte-identical across runs with the same (config, seed, threads).
+byte-identical across runs with the same config and seed, whatever the
+thread count: ``--threads`` only schedules the Monte-Carlo blocks.
 
 Exit codes: 0 success, 1 verify-suite failure, 2 bad configuration (any
 input error), 3 numerical contract violation.
@@ -27,7 +28,7 @@ import time
 
 import numpy as np
 
-from . import __version__, fields, green, hamiltonian, krawtchouk, limits
+from . import __version__, _mc, fields, green, hamiltonian, krawtchouk, limits
 from . import pointprocess, verify, walks
 from .krawtchouk import KappaError
 from .lattice import RangeError, ShapeError
@@ -375,9 +376,9 @@ def cmd_potts(args, t0):
                                      n_samples=args.n, workers=args.threads)
         h = hamiltonian.potts_hamiltonian(pspec, sample)
         z_samples = np.sum(np.exp(args.beta * h.real), axis=1)
-        result["mc_partition"] = float(z_samples.mean())
-        result["mc_stderr"] = float(z_samples.std(ddof=1)
-                                    / math.sqrt(len(z_samples)))
+        mean, se = _mc.mean_and_stderr(z_samples)
+        result["mc_partition"] = float(mean)
+        result["mc_stderr"] = se
         result["mc_var_h"] = float(h.real.var())
         _with_tol(args, result, abs(result["mc_partition"]
                                     - result["expected_partition"]))

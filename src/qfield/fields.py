@@ -53,14 +53,14 @@ class FieldSample:
 
 def sample_field(spec: Spectrum, alpha: float, seed: int,
                  n_samples: int = 1, workers: int = 1) -> FieldSample:
-    """Draw fields; deterministic given (seed, workers)."""
+    """Draw fields; deterministic given the seed, whatever ``workers``."""
     weights = synthesis_weights(spec, alpha)
     n = size(spec.q, spec.d)
 
     def draw(rng, m):
         return rng.standard_normal((m, n))
 
-    driver = _mc.stack_results(_mc.run_chunked(n_samples, seed, workers, draw))
+    driver = _mc.run_chunked(n_samples, seed, workers, draw)
     values = dft(driver * weights[None, :], spec.q, spec.d, inverse=True)
     return FieldSample(values, driver, alpha, spec)
 
@@ -110,17 +110,17 @@ def sample_count_field(kappas, q: int, d: int, alpha: float, seed: int,
     Covariance is the grouped Green display; the l = 0 term contributes
     the constant q^(-d/2) g_{l0}.  Requires real grouped eigenvalues.
     """
-    from .krawtchouk import table
+    from .krawtchouk import kappa_getter, table
 
     tab = table(q, d)
-    get = kappas.__getitem__ if isinstance(kappas, dict) else kappas
+    get = kappa_getter(kappas)
     kap = np.array([complex(get(l)) for l in tab.degrees])
     if np.max(np.abs(kap.imag)) > 1e-10:
         raise ReversibilityError("count field requires real grouped eigenvalues")
     lam = green_eigenvalues(kap.real, alpha)
     weights = np.sqrt(lam / tab.h_inv)
-    rng = np.random.default_rng(seed)
-    driver = rng.standard_normal((n_samples, len(tab.degrees)))
+    driver = _mc.run_chunked(n_samples, seed, 1, lambda rng, m:
+                             rng.standard_normal((m, len(tab.degrees))))
     values = (driver * weights[None, :]) @ tab.values / q ** (d / 2.0)
     return CountFieldSample(values, driver, tab.counts, tab.degrees, alpha)
 
@@ -183,8 +183,8 @@ def sample_torus_field(law: WrappedLaw, alpha: float, radius: int, seed: int,
     lam = green_eigenvalues(rho.real, alpha)
     weights = np.sqrt(lam)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    rng = np.random.default_rng(seed)
-    driver = rng.standard_normal((n_samples, len(freqs)))
+    driver = _mc.run_chunked(n_samples, seed, 1, lambda rng, m:
+                             rng.standard_normal((m, len(freqs))))
     basis = np.exp(2j * np.pi * grid @ freqs.T)  # (n_grid, n_freqs)
     values = (driver * weights[None, :]) @ basis.T
     return TorusFieldSample(values, driver, grid, freqs, alpha)

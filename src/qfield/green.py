@@ -114,11 +114,11 @@ def grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees,
                 h) -> float:
     """Re sum_l h(l) lambda_l Q_l(m) conj(Q_l(n)) over ``degrees``; the
     count vectors m, n must sum to d."""
-    from .krawtchouk import krawtchouk_values
+    from .krawtchouk import kappa_getter, krawtchouk_values
 
     if sum(int(v) for v in m) != d or sum(int(v) for v in n) != d:
         raise RangeError(f"count vectors must sum to d = {d}")
-    get = kappas.__getitem__ if isinstance(kappas, dict) else kappas
+    get = kappa_getter(kappas)
     q_m = krawtchouk_values(m, degrees, q).tolist()
     q_n = krawtchouk_values(n, degrees, q).tolist()
     acc = 0.0 + 0.0j

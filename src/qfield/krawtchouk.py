@@ -270,6 +270,11 @@ def kappa_from_law(law: IncrementLaw, l, route: str = "transform") -> complex:
     raise RangeError(f"unknown route {route!r}")
 
 
+def kappa_getter(kappas):
+    """Degree tuple -> eigenvalue, from a dict or a callable."""
+    return kappas.__getitem__ if isinstance(kappas, dict) else kappas
+
+
 def count_chain_kernel(kappas, q: int, d: int, t: int,
                        tab: KrawtchoukTable | None = None
                        ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -282,7 +287,7 @@ def count_chain_kernel(kappas, q: int, d: int, t: int,
         raise RangeError(f"t must be >= 0, got {t}")
     if tab is None:
         tab = table(q, d)
-    get = kappas.__getitem__ if isinstance(kappas, dict) else kappas
+    get = kappa_getter(kappas)
     kap = np.array([complex(get(l)) for l in tab.degrees])
     weights = (kap**t) * (1.0 / tab.h_inv)
     pvec = np.array([multinomial_pmf(m, d, q) for m in tab.counts])

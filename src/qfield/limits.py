@@ -24,9 +24,10 @@ from itertools import product as iter_product
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from . import _mc
 from .green import grouped_sum
-from .krawtchouk import (count_vectors, degree_indices, krawtchouk_values,
-                         log_scale_constant_inv)
+from .krawtchouk import (count_vectors, degree_indices, kappa_getter,
+                         krawtchouk_values, log_scale_constant_inv)
 from .lattice import RangeError, roots
 from .pointprocess import PointProcessSpec, y_moment
 from .walks import ContractError
@@ -282,13 +283,10 @@ def transform_identity(omega, degrees, q: int, n_samples: int, seed: int
     same phase e^(i w.M) and one Hermite table at the largest |l|, so each
     triple equals the one a single-degree call with that seed returns.
     """
-    if n_samples < 2:
-        raise RangeError(
-            f"a standard error needs at least 2 samples, got {n_samples}")
     omega = np.asarray(omega, dtype=float)
     degrees = [tuple(int(v) for v in l) for l in degrees]
-    rng = np.random.default_rng(seed)
-    m = sample_type_gaussian(q, n_samples, rng)
+    m = _mc.run_chunked(n_samples, seed, 1,
+                        lambda rng, k: sample_type_gaussian(q, k, rng))
     phase = np.exp(1j * m @ omega)
     table = hermite_table(max((sum(l) for l in degrees), default=0), m, q)
     theta = roots(q)
@@ -297,10 +295,8 @@ def transform_identity(omega, degrees, q: int, n_samples: int, seed: int
     out = []
     for l in degrees:
         # phase on the left: complex products are not bitwise commutative
-        samples = np.multiply(phase, limit_krawtchouk_batch(m, l, q, table))
-        mc = samples.mean()
-        se = math.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1))
-                       / n_samples)
+        mc, se = _mc.mean_and_stderr(
+            np.multiply(phase, limit_krawtchouk_batch(m, l, q, table)))
         rhs = char * (1j / q) ** sum(l)
         for k in range(1, q):
             rhs *= np.sum(omega * theta[(k * a) % q]) ** l[k - 1] \
@@ -322,8 +318,7 @@ def limit_green_density(m_plus, n_plus, lambda_of_l, q: int,
 
     m_full = full_type_vector(m_plus, q)
     n_full = full_type_vector(n_plus, q)
-    get = lambda_of_l.__getitem__ if isinstance(lambda_of_l, dict) \
-        else lambda_of_l
+    get = kappa_getter(lambda_of_l)
     acc = 1.0 + 0.0j
     degenerate = True
     for l in degree_indices(q, max_degree + 1, max_degree):

@@ -140,8 +140,7 @@ def y_moment_mc(spec: PointProcessSpec, l, n_samples: int, seed: int,
         counts = _horizon_atom_counts(spec, rng, m, spec.phi)
         return np.prod(factors[None, :] ** counts, axis=1)
 
-    samples = _mc.stack_results(_mc.run_chunked(n_samples, seed, workers, draw))
-    return _mc.mean_and_stderr(samples)
+    return _mc.mean_and_stderr(_mc.run_chunked(n_samples, seed, workers, draw))
 
 
 def y_moment_mc_points(spec: PointProcessSpec, l, n_samples: int, seed: int,
@@ -159,40 +158,36 @@ def y_moment_mc_points(spec: PointProcessSpec, l, n_samples: int, seed: int,
         raise RangeError(f"unknown partition scheme {scheme!r}")
     q = spec.q
     width = sum(l)
-    rng = np.random.default_rng(seed)
     if width == 0:
         return 1.0 + 0.0j, 0.0
     # k-label of each coordinate slot under the chosen partition
     if scheme == "blocks":
         labels = np.repeat(np.arange(1, q), l)
     else:
-        order = []
-        remaining = list(l)
-        while any(remaining):
-            for k in range(q - 1):
-                if remaining[k] > 0:
-                    order.append(k + 1)
-                    remaining[k] -= 1
-        labels = np.array(order)
-    horizons = spec.killing(spec.phi).sample(rng, n_samples)
-    total_epochs = int(horizons.sum())
-    atom_ids = rng.choice(len(spec.atoms), size=total_epochs,
-                          p=spec.weights())
-    draws = np.empty((total_epochs, width), dtype=np.int64)
-    for a, atom in enumerate(spec.atoms):
-        idx = np.nonzero(atom_ids == a)[0]
-        if idx.size:
-            draws[idx] = rng.choice(q, size=(idx.size, width), p=atom.pmf)
-    phase = (draws * labels[None, :]).sum(axis=1) % q
-    epoch_factors = np.exp(2j * np.pi * phase / q)
-    # per-walk product over its run of epochs
-    boundaries = np.concatenate(([0], np.cumsum(horizons)[:-1]))
-    samples = np.ones(n_samples, dtype=complex)
-    nonempty = horizons > 0
-    if total_epochs:
-        prods = np.multiply.reduceat(epoch_factors, boundaries[nonempty])
-        samples[nonempty] = prods
-    return _mc.mean_and_stderr(samples)
+        labels = np.array([k + 1 for r in range(max(l)) for k in range(q - 1)
+                           if l[k] > r])
+
+    def draw(rng, m):
+        horizons = spec.killing(spec.phi).sample(rng, m)
+        total_epochs = int(horizons.sum())
+        atom_ids = rng.choice(len(spec.atoms), size=total_epochs,
+                              p=spec.weights())
+        draws = np.empty((total_epochs, width), dtype=np.int64)
+        for a, atom in enumerate(spec.atoms):
+            idx = np.nonzero(atom_ids == a)[0]
+            if idx.size:
+                draws[idx] = rng.choice(q, size=(idx.size, width), p=atom.pmf)
+        phase = (draws * labels[None, :]).sum(axis=1) % q
+        epoch_factors = np.exp(2j * np.pi * phase / q)
+        # per-walk product over its run of epochs
+        boundaries = np.concatenate(([0], np.cumsum(horizons)[:-1]))
+        samples = np.ones(m, dtype=complex)
+        nonempty = horizons > 0
+        samples[nonempty] = np.multiply.reduceat(epoch_factors,
+                                                 boundaries[nonempty])
+        return samples
+
+    return _mc.mean_and_stderr(_mc.run_chunked(n_samples, seed, 1, draw))
 
 
 def _laplace_factors(spec: PointProcessSpec, varphi) -> np.ndarray:
@@ -226,6 +221,6 @@ def log_laplace_mc(spec: PointProcessSpec, varphi, n_samples: int, seed: int,
         counts = _horizon_atom_counts(spec, rng, m, spec.phi)
         return np.prod(factors[None, :] ** counts, axis=1)
 
-    samples = _mc.stack_results(_mc.run_chunked(n_samples, seed, workers, draw))
-    mean, se = _mc.mean_and_stderr(samples)
+    mean, se = _mc.mean_and_stderr(
+        _mc.run_chunked(n_samples, seed, workers, draw))
     return float(mean.real), se

@@ -612,9 +612,11 @@ class AtomicMeasure:
 
 
 def simulate_walk(law: IncrementLaw, x0, steps: int, seed: int) -> np.ndarray:
-    """Path (steps+1, d) of the walk started at x0."""
+    """Path (steps+1, d) of the walk started at the lattice point x0."""
+    if steps < 0:
+        raise RangeError(f"steps must be >= 0, got {steps}")
+    x0 = point(x0, law.q, law.d)
     rng = np.random.default_rng(seed)
-    x0 = np.asarray(x0, dtype=np.int64)
     increments = law.sample(rng, steps)
     path = np.empty((steps + 1, law.d), dtype=np.int64)
     path[0] = x0
@@ -633,12 +635,13 @@ def simulate_killed(
 ) -> np.ndarray:
     """Endpoints X_T of n_walks killed walks, shape (n_walks, d).
 
-    T = 0 returns x0 unmoved.  Deterministic given (seed, workers).  Step t
-    draws one increment per walk with T > t, in walk order, in a single
-    ``law.sample`` call; those walks are filtered from the ones of step
-    t - 1.  The sums are reduced mod q once, at the end, which gives the
-    same endpoints as reducing after every step because x0 is checked to
-    lie on the lattice.
+    T = 0 returns x0 unmoved.  Deterministic given the seed; ``workers``
+    only schedules the blocks of :func:`_mc.run_chunked`.  Within a block,
+    step t draws one increment per walk with T > t, in walk order, in a
+    single ``law.sample`` call; those walks are filtered from the ones of
+    step t - 1.  The sums are reduced mod q once, at the end, which gives
+    the same endpoints as reducing after every step because x0 is checked
+    to lie on the lattice.
     """
     x0 = point(x0, law.q, law.d)
 
@@ -654,8 +657,7 @@ def simulate_killed(
         pos %= law.q
         return pos
 
-    parts = _mc.run_chunked(n_walks, seed, workers, draw)
-    return _mc.stack_results(parts)
+    return _mc.run_chunked(n_walks, seed, workers, draw)
 
 
 def unit_rate_embedding(law: IncrementLaw) -> AtomicMeasure:

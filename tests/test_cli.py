@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfield import cli, walks
+from qfield import _mc, cli, walks
 
 LAZY_LAW = json.dumps({
     "variant": "definetti_mixture", "q": 2, "d": 2,
@@ -134,6 +134,38 @@ def test_sample_field_deterministic_output(tmp_path):
         run_cli("sample-field", "--law", LAZY_LAW, "--alpha", "0.5",
                 "-n", "4", "--seed", "11", "--threads", "2", "--out", str(out))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# spans four Monte-Carlo blocks, so --threads 2 and 4 really share the work
+MULTI_BLOCK = str(3 * _mc.BLOCK + 7)
+PP_SPEC = json.dumps({"alpha": 0.5, "phi": 1.0,
+                      "atoms": [{"pmf": [0.6, 0.2, 0.2], "weight": 0.5},
+                                {"pmf": [0.2, 0.4, 0.4], "weight": 0.5}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-green", "--law", LAZY_LAW, "--alpha", "0.6", "--x0", "0,1",
+     "--n", MULTI_BLOCK, "--seed", "5"],
+    ["sample-field", "--law", SWAP_LAW, "--alpha", "0.5", "-n", MULTI_BLOCK,
+     "--seed", "3"],
+    ["pointproc", "--spec", PP_SPEC, "--l", "1,1", "--mc", MULTI_BLOCK,
+     "--seed", "2"],
+    ["potts", "--law", LAZY_LAW, "--alpha", "0.5", "--beta", "0.3",
+     "--n", MULTI_BLOCK, "--seed", "4"],
+], ids=["mc-green", "sample-field", "pointproc", "potts"])
+def test_monte_carlo_results_do_not_depend_on_threads(tmp_path, argv):
+    out = tmp_path / "fields.csv"
+    if argv[0] == "sample-field":
+        argv = [*argv, "--out", str(out)]
+    results, csvs = set(), set()
+    for threads in ("1", "2", "4"):
+        code, text, err = run_main([*argv, "--threads", threads])
+        assert code == 0, err
+        results.add(json.dumps(json.loads(text)["result"], sort_keys=True))
+        if out.exists():
+            csvs.add(out.read_bytes())
+    assert len(results) == 1
+    assert len(csvs) == (argv[0] == "sample-field")
 
 
 def test_krawtchouk_value_and_checks():

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from qfield import krawtchouk as kw
-from qfield import lattice, limits, pointprocess as pp, walks
+from qfield import _mc, lattice, limits, pointprocess as pp, walks
 
 
 def test_hermite_low_degrees():
@@ -196,7 +196,8 @@ def test_transform_identity_cases():
 
 def _transform_reference(omega, l, q, n_samples, seed):
     """One (omega, l) as a single-degree transform_identity computed it."""
-    m = limits.sample_type_gaussian(q, n_samples, np.random.default_rng(seed))
+    m = _mc.run_chunked(n_samples, seed, 1,
+                        lambda rng, k: limits.sample_type_gaussian(q, k, rng))
     samples = np.exp(1j * m @ omega) * limits.limit_krawtchouk_batch(m, l, q)
     se = math.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1))
                    / n_samples)

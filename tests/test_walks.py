@@ -210,9 +210,18 @@ def test_one_step_empirical_matches_transition_row():
 def test_killed_walk_workers_deterministic():
     law = walks.lazy_walk(2, 2, [0.3])
     kill = walks.KillingLaw(0.5)
-    a = walks.simulate_killed(law, (0, 0), kill, seed=9, n_walks=500, workers=3)
-    b = walks.simulate_killed(law, (0, 0), kill, seed=9, n_walks=500, workers=3)
-    assert np.array_equal(a, b)
+    a, b, c = (walks.simulate_killed(law, (0, 0), kill, seed=9, n_walks=500,
+                                     workers=w) for w in (1, 2, 3))
+    assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_walk_start_and_steps_are_checked():
+    law = walks.lazy_walk(3, 2, [0.5])
+    with pytest.raises(lattice.RangeError):
+        walks.simulate_walk(law, (5, -1), 3, seed=0)
+    with pytest.raises(lattice.RangeError):
+        walks.simulate_walk(law, (0, 0), -1, seed=0)
+    assert walks.simulate_walk(law, (2, 1), 0, seed=0).tolist() == [[2, 1]]
 
 
 def _choice_sample(law, rng, n):
@@ -252,7 +261,7 @@ def _killed_reference(law, x0, killing, seed, n_walks, workers):
             alive[active] -= 1
         return pos
 
-    return np.concatenate(_mc.run_chunked(n_walks, seed, workers, draw))
+    return _mc.run_chunked(n_walks, seed, workers, draw)
 
 
 SAMPLED_LAWS = {
