@@ -210,8 +210,10 @@ def test_one_step_empirical_matches_transition_row():
 def test_killed_walk_workers_deterministic():
     law = walks.lazy_walk(2, 2, [0.3])
     kill = walks.KillingLaw(0.5)
-    a, b, c = (walks.simulate_killed(law, (0, 0), kill, seed=9, n_walks=500,
-                                     workers=w) for w in (1, 2, 3))
+    # three blocks, the last one short, so workers 2 and 3 run the pool
+    a, b, c = (walks.simulate_killed(law, (0, 0), kill, seed=9,
+                                     n_walks=2 * _mc.BLOCK + 1, workers=w)
+               for w in (1, 2, 3))
     assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
