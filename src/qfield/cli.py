@@ -177,7 +177,7 @@ def _complex_pairs(values) -> list[list[float]]:
 
 
 def _with_tol(args, result: dict, statistic: float | None) -> dict:
-    """Attach a pass/fail judgment when --tol overrides module defaults."""
+    """Attach a pass/fail judgment of ``statistic`` when --tol is given."""
     tol = getattr(args, "tol", None)
     if tol is not None and statistic is not None:
         result["tol"] = float(tol)
@@ -200,6 +200,8 @@ def cmd_eigen(args, t0):
 
 def cmd_green(args, t0):
     law = _law_from_arg(args.law)
+    if args.row is None and not args.out:
+        raise ConfigError("$.out: full-matrix output needs --out FILE.csv")
     spec = law.spectrum()
     g = green.green_exact(spec, args.alpha, materialize=args.row is None)
     if args.row is not None:
@@ -211,8 +213,6 @@ def cmd_green(args, t0):
             "row_sum": float(row.sum()),
         }, abs(float(row.sum()) - 1.0)), t0)
     else:
-        if not args.out:
-            raise ConfigError("$.out: full-matrix output needs --out FILE.csv")
         _write_complex_csv(args.out, g.matrix, "y")
         _emit(argparse.Namespace(**{**vars(args), "out": None}), {
             "alpha": args.alpha, "matrix_csv": args.out,
@@ -240,11 +240,11 @@ def cmd_mc_green(args, t0):
 
 def cmd_sample_field(args, t0):
     law = _law_from_arg(args.law)
+    if not args.out:
+        raise ConfigError("$.out: sample-field needs --out FILE.csv")
     spec = law.spectrum()
     sample = fields.sample_field(spec, args.alpha, args.seed,
                                  n_samples=args.n, workers=args.threads)
-    if not args.out:
-        raise ConfigError("$.out: sample-field needs --out FILE.csv")
     _write_complex_csv(args.out, sample.values, "g")
     inversion = float(np.max(np.abs(
         fields.invert_field(sample.values, spec, args.alpha) - sample.driver)))
@@ -324,9 +324,6 @@ def cmd_pointproc(args, t0):
 
 
 def cmd_hamiltonian(args, t0):
-    if args.alpha == 0.0:
-        # the identity divides by alpha; 0 is a bad input, not a crash
-        raise ConfigError("$.alpha: hamiltonian needs alpha in (0, 1), got 0")
     law = _law_from_arg(args.law)
     res_max, rel_max, diag_gap = hamiltonian.identity_residuals(
         law.spectrum(), args.alpha, np.random.default_rng(args.seed),
@@ -509,7 +506,8 @@ D = _opt("--d", type=_at_least(1), required=True)
 # every subcommand takes these
 COMMON = (_opt("--out", help="output file (.csv or .json)"),
           _opt("--tol", type=_finite,
-               help="tolerance scale override (default 1.0)"),
+               help="pass/fail threshold on the headline statistic, adds "
+                    "within_tol (verify: tolerance scale, default 1.0)"),
           _opt("--config", help="JSON file of defaults for this subcommand"))
 
 # subcommand -> (help, options); the handler of "mc-green" is cmd_mc_green

@@ -18,7 +18,7 @@ x + y and is checked, not promised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class FieldSample:
     values: np.ndarray   # (n_samples, q^d) complex
     driver: np.ndarray   # (n_samples, q^d) real
     alpha: float
-    spectrum: Spectrum = field(repr=False)
 
 
 def sample_field(spec: Spectrum, alpha: float, seed: int,
@@ -62,7 +61,7 @@ def sample_field(spec: Spectrum, alpha: float, seed: int,
 
     driver = _mc.run_chunked(n_samples, seed, workers, draw)
     values = dft(driver * weights[None, :], spec.q, spec.d, inverse=True)
-    return FieldSample(values, driver, alpha, spec)
+    return FieldSample(values, driver, alpha)
 
 
 def invert_field(values: np.ndarray, spec: Spectrum, alpha: float) -> np.ndarray:
@@ -76,20 +75,6 @@ def dual_field(driver: np.ndarray, q: int, d: int) -> np.ndarray:
     """Unweighted companion field g*[y] = sum_r theta^(y.r) gr[r]."""
     n = size(q, d)
     return dft(driver, q, d, inverse=True) * math.sqrt(n)
-
-
-def dual_field_from_values(values: np.ndarray, spec: Spectrum,
-                           alpha: float) -> np.ndarray:
-    """g* reached through the field values instead of the driver.
-
-    Substitutes the inversion display into the synthesis: recover each
-    driver coordinate by a forward transform, then resum without the
-    lambda weights.  Must agree with :func:`dual_field`.
-    """
-    n = size(spec.q, spec.d)
-    weights = synthesis_weights(spec, alpha)
-    coeffs = dft(values, spec.q, spec.d) / weights  # = driver
-    return dft(coeffs, spec.q, spec.d, inverse=True) * math.sqrt(n)
 
 
 @dataclass
@@ -123,12 +108,6 @@ def sample_count_field(kappas, q: int, d: int, alpha: float, seed: int,
                              rng.standard_normal((m, len(tab.degrees))))
     values = (driver * weights[None, :]) @ tab.values / q ** (d / 2.0)
     return CountFieldSample(values, driver, tab.counts, tab.degrees, alpha)
-
-
-def count_field_weight(kappa_l: complex, alpha: float, h_l: float) -> float:
-    """Synthesis weight sqrt(h_l lambda_l) for one degree."""
-    lam = green_eigenvalues(np.array([kappa_l]), alpha)[0]
-    return float(np.sqrt(h_l * lam.real))
 
 
 def ranked_classes(q: int, d: int) -> dict[tuple[int, ...], np.ndarray]:

@@ -10,9 +10,9 @@ the spectral display; ``green_shifted`` exposes the P-shifted variant
 (1-alpha) sum_t alpha^t P^(t+1) for comparison.  alpha = 0 gives the
 identity.
 
-Also here: the real cosine/sine form, the grouped (type-count) form, the
-Monte-Carlo estimator from killed-walk endpoints, the continuous-time
-resolvent (alpha = 1/(1+varkappa)), and truncated torus Green sums.
+Also here: the grouped (type-count) form, the Monte-Carlo estimator from
+killed-walk endpoints, the continuous-time resolvent
+(alpha = 1/(1+varkappa)), and truncated torus Green sums.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .lattice import (
     MATERIAL_LIMIT,
     RangeError,
-    all_states,
     circulant_from_kernel,
     circulant_row,
     dft,
@@ -86,17 +85,6 @@ def green_shifted(spec: Spectrum, alpha: float) -> np.ndarray:
     return transition_matrix(spec) @ g.matrix
 
 
-def green_real_form(spec: Spectrum, alpha: float, x, y) -> float:
-    """Cosine/sine split of the spectral sum; the sine part vanishes for
-    real eigenvalues."""
-    lam = green_eigenvalues(spec.rho, alpha)
-    states = all_states(spec.q, spec.d)
-    z = (np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64))
-    angles = 2.0 * np.pi * (states @ z) / spec.q
-    n = size(spec.q, spec.d)
-    return float((lam.real @ np.cos(angles) - lam.imag @ np.sin(angles)) / n)
-
-
 def green_grouped(kappas, q: int, d: int, alpha: float, m, n) -> float:
     """Grouped Green value for type counts m, n (exchangeable walks).
 
@@ -123,7 +111,7 @@ def grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees,
     q_n = krawtchouk_values(n, degrees, q).tolist()
     acc = 0.0 + 0.0j
     for l, a, b in zip(degrees, q_m, q_n):
-        lam_l = green_eigenvalues(np.array([complex(get(l))]), alpha)[0]
+        lam_l = grouped_green_eigenvalue(complex(get(l)), alpha)
         acc += h(l) * lam_l * a * np.conj(b)
     return acc.real
 

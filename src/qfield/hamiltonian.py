@@ -35,15 +35,14 @@ def hamiltonian_identity_check(spec: Spectrum, alpha: float, g
 
     lhs = 1/4 sum_xy P[x,y](g_x - g_y)^2 + (1-alpha)/(2 alpha) sum g^2
     rhs = 1/(2 alpha) g^T (I - alpha P) g
-    Returns (lhs, rhs, |lhs - rhs|).  alpha = 0 is undefined.
+    Returns (lhs, rhs, |lhs - rhs|).  alpha = 0 is undefined and raises
+    RangeError like every alpha outside (0, 1).
     """
     _check_identity_args(spec, alpha)
     return _identity(transition_matrix(spec), alpha, g)
 
 
 def _check_identity_args(spec: Spectrum, alpha: float) -> None:
-    if alpha == 0.0:
-        raise ZeroDivisionError("identity undefined at alpha = 0")
     if not 0.0 < alpha < 1.0:
         raise RangeError(f"alpha must lie in (0, 1), got {alpha}")
     if not spec.is_real:
@@ -161,9 +160,8 @@ def grouping_identity_residual(law, alpha: float) -> float:
     """
     from .krawtchouk import degree_indices, kappa_from_law, scale_constant_inv
 
-    spec = law.spectrum()
     n = size(law.q, law.d)
-    ungrouped = -0.5 * float(np.sum(np.log1p(-alpha * spec.rho.real))) / n
+    ungrouped = 0.5 * log_z_density_gap(law.spectrum(), alpha)
     grouped = 0.0
     for l in degree_indices(law.q, law.d):
         kap = kappa_from_law(law, l).real

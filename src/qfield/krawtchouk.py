@@ -166,22 +166,6 @@ class KrawtchoukTable:
     values: np.ndarray  # (n_degrees, n_counts) complex
     h_inv: np.ndarray   # exact h_l^-1 as float
 
-    def __post_init__(self):
-        self._degree_pos = {l: i for i, l in enumerate(self.degrees)}
-        self._count_pos = {m: j for j, m in enumerate(self.counts)}
-
-    def degree_index(self, l) -> int:
-        return self._degree_pos[tuple(int(v) for v in l)]
-
-    def count_index(self, m) -> int:
-        return self._count_pos[tuple(int(v) for v in m)]
-
-    def value(self, l, m) -> complex:
-        return self.values[self.degree_index(l), self.count_index(m)]
-
-    def h(self, l) -> float:
-        return 1.0 / self.h_inv[self.degree_index(l)]
-
 
 def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
     """Q_l(m) for |l| <= max_degree (default d) and |m| = d, one DP per m."""
@@ -194,15 +178,23 @@ def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
     return KrawtchoukTable(q, d, degrees, counts, values, h_inv)
 
 
+def _check_count_budget(q: int, d: int) -> None:
+    """Exact checks enumerate all C(d+q-1, q-1) count vectors; refuse
+    more than 100000 before building anything."""
+    n = math.comb(d + q - 1, q - 1)
+    if n > 100_000:
+        raise RangeError(f"{n} count vectors at q={q}, d={d}: enumeration "
+                         "too large for exact check (limit 100000)")
+
+
 def orthogonality_residual(q: int, d: int, max_degree: int | None = None,
                            tab: KrawtchoukTable | None = None) -> float:
     """max_{l,l'} | E[Q_l conj(Q_l')] / sqrt(h_l^-1 h_l'^-1) - delta_{ll'} |
     over the multinomial: the Gram matrix of the normalized polynomials
     against the identity, a relative residual at every d."""
+    _check_count_budget(q, d)
     if tab is None:
         tab = table(q, d, max_degree)
-    if len(tab.counts) > 100_000:
-        raise RangeError("count-vector enumeration too large for exact check")
     weights = np.array([multinomial_pmf(m, d, q) for m in tab.counts])
     gram = (tab.values * weights[None, :]) @ tab.values.conj().T
     scale = 1.0 / np.sqrt(tab.h_inv)
@@ -230,6 +222,7 @@ def duality_residual(m, l, q: int) -> float:
 def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float:
     """max of :func:`duality_residual` over |l| <= max_degree and |m| = d:
     Q_l(m) from one table, Q_{m^-}(l^+) for every m from one DP per l."""
+    _check_count_budget(q, d)
     tab = table(q, d, max_degree)
     m_minus = [m[1:] for m in tab.counts]
     h_inv_m = np.array([scale_constant_inv(v, d) for v in m_minus], dtype=float)
@@ -258,16 +251,13 @@ def kappa_route_transform(law: IncrementLaw, l) -> complex:
     return complex(weights @ xi_powers(xi, l))
 
 
-def kappa_from_law(law: IncrementLaw, l, route: str = "transform") -> complex:
-    """Grouped eigenvalue kappa_l; ``route`` is "counts" or "transform"."""
-    if route == "counts":
+def kappa_from_law(law: IncrementLaw, l) -> complex:
+    """Grouped eigenvalue kappa_l by the transform route, or by the
+    counts route for laws without a mixing measure."""
+    try:
+        return kappa_route_transform(law, l)
+    except ContractError:
         return kappa_route_counts(law, l)
-    if route == "transform":
-        try:
-            return kappa_route_transform(law, l)
-        except ContractError:
-            return kappa_route_counts(law, l)
-    raise RangeError(f"unknown route {route!r}")
 
 
 def kappa_getter(kappas):

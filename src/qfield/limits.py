@@ -18,8 +18,6 @@ Hermite-product expansion (route B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -37,18 +35,11 @@ def hermite_chebycheff(k: int, x, q: int):
     """H_k for the N(0, 1/q) weight: H_{k+1} = x H_k - (k/q) H_{k-1}.
 
     Generating function sum_k z^k H_k / k! = exp(-z^2/(2q) + x z).
-    Vectorized over x.
+    Vectorized over x; the last row of :func:`hermite_table`.
     """
     if k < 0:
         raise RangeError("degree must be >= 0")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev
-    cur = x.copy()
-    for j in range(1, k):
-        prev, cur = cur, x * cur - (j / q) * prev
-    return cur
+    return hermite_table(k, x, q)[k]
 
 
 def hermite_table(max_k: int, x, q: int) -> np.ndarray:
@@ -186,67 +177,6 @@ def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int,
             prod = prod * table[a[j], :, j]
         acc += coeff * prod
     return acc
-
-
-@dataclass
-class LimitPolyTable:
-    """Limit polynomials stored on the linear-form basis c_k(m).
-
-    Each Q_l is a dict {exponent tuple over c_1..c_{q-1}: coefficient};
-    total degree equals |l| and Q_0 = 1.
-    """
-
-    q: int
-    max_degree: int
-    polys: dict[tuple[int, ...], dict[tuple[int, ...], complex]]
-
-    def evaluate(self, m_full, l) -> complex:
-        c = _linear_coeffs(np.asarray(m_full, dtype=float), self.q)
-        acc = 0.0 + 0.0j
-        for expo, coeff in self.polys[tuple(int(v) for v in l)].items():
-            acc += coeff * np.prod(c ** np.array(expo))
-        return complex(acc)
-
-    def degree(self, l) -> int:
-        mono = self.polys[tuple(int(v) for v in l)]
-        return max((sum(e) for e, v in mono.items() if abs(v) > 1e-14),
-                   default=0)
-
-
-def limit_poly_table(q: int, max_degree: int) -> LimitPolyTable:
-    """Closed-form c-basis coefficients from the factorized quadratic."""
-    pairs = _quadratic_pairs(q)
-    polys = {}
-    for l in degree_indices(q, max_degree + 1, max_degree):
-        mono: dict[tuple[int, ...], complex] = {}
-        ranges = [range(0, v + 1) for v in l]
-        for b in iter_product(*ranges):
-            coeff = 1.0 + 0.0j
-            ok = True
-            consumed = [0] * (q - 1)
-            for k, kk, cval in pairs:
-                if k == kk:
-                    bk = b[k - 1]
-                    if bk % 2:
-                        ok = False
-                        break
-                    coeff *= (-0.5) ** (bk // 2) / math.factorial(bk // 2)
-                    consumed[k - 1] = bk
-                else:
-                    if b[k - 1] != b[kk - 1]:
-                        ok = False
-                        break
-                    coeff *= (-1.0) ** b[k - 1] / math.factorial(b[k - 1])
-                    consumed[k - 1] = b[k - 1]
-                    consumed[kk - 1] = b[kk - 1]
-            if not ok or list(b) != consumed:
-                continue
-            expo = tuple(lv - bv for lv, bv in zip(l, b))
-            for lv, bv in zip(l, b):
-                coeff /= math.factorial(lv - bv)
-            mono[expo] = mono.get(expo, 0.0) + coeff
-        polys[l] = mono
-    return LimitPolyTable(q, max_degree, polys)
 
 
 def mplus_density(m_plus, q: int) -> float:

@@ -376,6 +376,34 @@ def test_hostile_input_exits_2(argv):
         assert "$.spec" in err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the work ran before the argument check")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-field", "--law", UNIFORM_22, "--alpha", "0.5", "-n", "3",
+     "--seed", "1"],
+    ["green", "--law", UNIFORM_22, "--alpha", "0.5"],
+], ids=["sample-field", "green-matrix"])
+def test_missing_out_exits_2_before_the_work(monkeypatch, argv):
+    monkeypatch.setattr(cli.fields, "sample_field", _refuse)
+    monkeypatch.setattr(cli.green, "green_exact", _refuse)
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert "config error:" in err and "$.out" in err
+
+
+@pytest.mark.parametrize("check", ["orthogonality", "duality"])
+def test_krawtchouk_check_caps_count_vectors_before_the_table(monkeypatch,
+                                                             check):
+    # 125751 count vectors at (3, 500): refused before any table is built
+    monkeypatch.setattr(cli.krawtchouk, "table", _refuse)
+    code, _, err = run_main(["krawtchouk", "--q", "3", "--d", "500",
+                             "--check", check, "--max-degree", "2"])
+    assert code == 2
+    assert "config error:" in err and "125751 count vectors" in err
+
+
 def test_potts_above_dense_limit():
     # 2^13 points: E[Z] reads the Green kernel, no q^d x q^d matrix is built
     code, out, _ = run_main(["potts", "--law", law_with(d=13), "--alpha",

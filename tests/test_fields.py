@@ -85,7 +85,8 @@ def test_dual_field_equivalence_identity():
     spec = walks.lazy_walk(3, 2, [0.2, 0.6]).spectrum()
     sample = fields.sample_field(spec, 0.55, seed=5, n_samples=20)
     direct = fields.dual_field(sample.driver, 3, 2)
-    via_values = fields.dual_field_from_values(sample.values, spec, 0.55)
+    via_values = fields.dual_field(
+        fields.invert_field(sample.values, spec, 0.55), 3, 2)
     assert np.max(np.abs(direct - via_values)) < 1e-9
     # random contractions agree too
     rng = np.random.default_rng(6)
@@ -127,14 +128,11 @@ def test_count_field_covariance_and_weights():
     cov = fields.empirical_covariance(cf.values)
     se = fields.covariance_stderr(cf.values)
     assert np.max(np.abs(cov - target) / np.maximum(se, 1e-12)) <= 5
-    # weight identities: weight^2 / h_l = lambda_l and weight equals the
-    # half-process moment scaled by sqrt(h_l)
+    # the synthesis weight sqrt(lambda_l) is the half-process moment E[Y^l]
     half = pp.spec_from_mixture(law, alpha, phi=0.5)
     for l in tab.degrees:
-        w = fields.count_field_weight(kap[l], alpha, tab.h(l))
-        assert abs(w**2 / tab.h(l)
-                   - green.grouped_green_eigenvalue(kap[l], alpha).real) < 1e-12
-        assert abs(w - pp.y_moment(half, l).real * math.sqrt(tab.h(l))) < 1e-12
+        lam_l = green.grouped_green_eigenvalue(kap[l], alpha).real
+        assert abs(math.sqrt(lam_l) - pp.y_moment(half, l).real) < 1e-12
 
 
 def test_count_field_constant_mode():

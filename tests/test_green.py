@@ -84,6 +84,8 @@ def test_green_structure_invariants():
             symmetric = np.max(np.abs(g.matrix - g.matrix.T)) < 1e-11
             assert symmetric == spec.is_real
             assert abs(g.lam[0] - 1.0) < 1e-14
+            # the diagonal is the mean eigenvalue
+            assert abs(g.kernel[0] - g.lam.real.mean()) < 1e-12
             if spec.is_real:
                 # eigenvalue window ((1-alpha)/(1+alpha), 1] for rho real
                 assert np.max(np.abs(g.lam.imag)) < 1e-12
@@ -99,32 +101,6 @@ def test_lazy_offdiagonal_increases_with_alpha():
     values = [green.green_exact(spec, a).entry(x, y)
               for a in np.linspace(0.05, 0.95, 10)]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_real_form_equals_exact():
-    # asymmetric law: complex eigenvalues, so the sine sum participates
-    spec = walks.builtin_law("product_iid", 3, 3).spectrum()
-    assert not spec.is_real
-    lam = green.green_eigenvalues(spec.rho, 0.7)
-    assert np.max(np.abs(lam.imag)) > 1e-3
-    g = green.green_exact(spec, 0.7)
-    rng = np.random.default_rng(0)
-    states = lattice.all_states(3, 3)
-    for _ in range(100):
-        x = states[rng.integers(27)]
-        y = states[rng.integers(27)]
-        assert abs(green.green_real_form(spec, 0.7, x, y)
-                   - g.entry(x, y)) < 1e-11
-
-
-def test_real_form_sine_term_vanishes_for_symmetric_laws():
-    spec = walks.lazy_walk(5, 2, [0.4, 0.9]).spectrum()
-    lam = green.green_eigenvalues(spec.rho, 0.6)
-    assert np.max(np.abs(lam.imag)) < 1e-12
-    x, y = (1, 3), (4, 0)
-    # diagonal value is the mean of the real parts
-    diag = green.green_real_form(spec, 0.6, x, x)
-    assert abs(diag - lam.real.mean()) < 1e-12
 
 
 def test_grouped_green_is_class_average():

@@ -41,8 +41,10 @@ def test_identity_random_vectors_and_scale_invariance():
 
 def test_identity_alpha_zero_errors():
     spec = walks.UniformLaw(2, 1).spectrum()
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(lattice.RangeError):
         ham.hamiltonian_identity_check(spec, 0.0, [1.0, 0.0])
+    with pytest.raises(lattice.RangeError):
+        ham.identity_residuals(spec, 0.0, np.random.default_rng(0), 1)
 
 
 def test_identity_residuals_equal_the_public_checks_bit_for_bit():

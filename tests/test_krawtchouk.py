@@ -144,7 +144,7 @@ def test_count_chain_lumping_all_exchangeable_builtins():
     for family in ("uniform", "product_iid", "definetti_mixture",
                    "sparse_exchangeable"):
         law = walks.builtin_law(family, 3, 3)
-        kap = {l: kw.kappa_from_law(law, l, route="counts")
+        kap = {l: kw.kappa_route_counts(law, l)
                for l in kw.degree_indices(3, 3)}
         kernel, _ = kw.count_chain_kernel(kap, 3, 3, 2)
         p2 = np.linalg.matrix_power(walks.transition_matrix(law.spectrum()), 2)
@@ -176,14 +176,6 @@ def test_count_chain_rejects_bogus_kappa():
         kw.count_chain_kernel(bogus, 2, 3, 1)
 
 
-def test_table_lookup_consistency():
-    tab = kw.table(3, 4, max_degree=3)
-    for l in tab.degrees[:6]:
-        for m in tab.counts[:6]:
-            assert tab.value(l, m) == kw.krawtchouk(m, l, 3)
-        assert abs(tab.h(l) - 1.0 / kw.scale_constant_inv(l, 4)) < 1e-15
-
-
 @pytest.mark.parametrize("q,d,max_degree", [(4, 6, None), (3, 10, None),
                                             (5, 4, None), (3, 20, 4)])
 def test_table_matches_per_pair_dp(q, d, max_degree):
@@ -194,18 +186,6 @@ def test_table_matches_per_pair_dp(q, d, max_degree):
                 for i, l in enumerate(tab.degrees)
                 for j, m in enumerate(tab.counts))
     assert worst < 1e-13
-
-
-def test_table_lookup_by_key():
-    tab = kw.table(3, 4)
-    for i, l in enumerate(tab.degrees):
-        assert tab.degree_index(np.array(l)) == i
-    for j, m in enumerate(tab.counts):
-        assert tab.count_index(list(m)) == j
-    with pytest.raises(KeyError):
-        tab.degree_index((5, 0))
-    with pytest.raises(KeyError):
-        tab.count_index((1, 1, 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -256,6 +236,18 @@ def test_orthogonality_on_the_496_table():
     tab = kw.table(3, 30)
     assert tab.values.shape == (496, 496)
     assert kw.orthogonality_residual(3, 30, tab=tab) <= 1e-9
+
+
+@pytest.mark.parametrize("check", [kw.orthogonality_residual,
+                                   kw.max_duality_residual])
+def test_exact_checks_cap_count_vectors_before_the_table(monkeypatch, check):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built before the size check")
+
+    monkeypatch.setattr(kw, "table", refuse)
+    for max_degree in (None, 2):
+        with pytest.raises(lattice.RangeError, match="125751 count vectors"):
+            check(3, 500, max_degree)
 
 
 def test_duality_residual_is_relative_at_d20():

@@ -24,6 +24,33 @@ def test_hermite_generating_function():
     assert abs(series - math.exp(-z**2 / (2 * q) + x * z)) < 1e-14
 
 
+def _hermite_recurrence(k, x, q):
+    # reference: the three-term recurrence run on its own, two rows at a time
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if k == 0:
+        return prev
+    cur = x.copy()
+    for j in range(1, k):
+        prev, cur = cur, x * cur - (j / q) * prev
+    return cur
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_hermite_is_the_table_recurrence_bit_for_bit(q):
+    rng = np.random.default_rng(q)
+    inputs = [0.37, -0.0, np.array(-0.0), rng.standard_normal(5),
+              rng.standard_normal((3, 4)) * 2.0, np.array([-0.0, 0.0, 1.5])]
+    for x in inputs:
+        for k in range(30):
+            got = np.asarray(limits.hermite_chebycheff(k, x, q))
+            want = np.asarray(_hermite_recurrence(k, x, q))
+            assert got.shape == want.shape == np.shape(x)
+            assert got.tobytes() == want.tobytes(), (q, k, x)
+    with pytest.raises(lattice.RangeError):
+        limits.hermite_chebycheff(-1, 0.3, q)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hermite_orthogonality_quadrature(q):
     assert limits.hermite_orthogonality_residual(q, 8) < 1e-10
@@ -88,17 +115,6 @@ def test_limit_krawtchouk_zero_degree():
     m = limits.full_type_vector(np.array([0.3]), 2)
     assert limits.limit_krawtchouk_series(m, (0,), 2) == 1.0
     assert limits.limit_krawtchouk_hermite(m, (0,), 2) == 1.0
-
-
-def test_limit_poly_table_matches_routes():
-    tab = limits.limit_poly_table(3, 4)
-    rng = np.random.default_rng(5)
-    m = limits.full_type_vector(rng.standard_normal(2), 3)
-    for l in kw.degree_indices(3, 5, 4):
-        assert abs(tab.evaluate(m, l)
-                   - limits.limit_krawtchouk_series(m, l, 3)) < 1e-9
-        assert tab.degree(l) == sum(l)
-    assert tab.polys[(0, 0)] == {(0, 0): 1.0}
 
 
 def test_q2_limit_polynomials_are_scaled_hermite():
