@@ -3,15 +3,19 @@
 Subcommands: eigen, green, mc-green, sample-field, krawtchouk, kappa,
 pointproc, hamiltonian, partition, potts, limit, verify.
 
-Results are JSON documents {"manifest": ..., "result": ...}; matrices
-and field samples go to CSV (header row, complex values as re/im column
-pairs).  The manifest records version, a hash of the effective config,
-the seed, thread count and wall time; everything under "result" is
-byte-identical across runs with the same config and seed, whatever the
-thread count: ``--threads`` only schedules the Monte-Carlo blocks.
+Each handler ``cmd_<name>(args)`` returns ``(result, statistic)``, the
+statistic being the headline number that ``--tol`` judges, or None.
+``main`` alone parses argv (``--config`` keys become flags ahead of it),
+judges ``--tol`` and emits {"manifest": ..., "result": ...} as JSON to
+``--out`` or stdout.  Matrices and field samples go to CSV at ``--out``
+(header row, complex values as re/im column pairs), their JSON to stdout.
+The manifest records version, a hash of the effective config, the seed,
+thread count and wall time; everything under "result" is byte-identical
+across runs with the same config and seed, whatever the thread count:
+``--threads`` only schedules the Monte-Carlo blocks.
 
-Exit codes: 0 success, 1 verify-suite failure, 2 bad configuration (any
-input error), 3 numerical contract violation.
+Exit codes: 0 success, 1 a result with ``all_pass: false`` (verify), 2
+bad configuration (any input error), 3 numerical contract violation.
 """
 
 from __future__ import annotations
@@ -134,9 +138,8 @@ def _emit(args, result: dict, t0: float) -> None:
         "result": result,
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out and out.endswith(".json"):
-        with _out_file(out) as fh:
+    if args.out:
+        with _out_file(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -175,30 +178,25 @@ def _complex_pairs(values) -> list[list[float]]:
     return [[float(np.real(v)), float(np.imag(v))] for v in np.asarray(values)]
 
 
-
 def _with_tol(args, result: dict, statistic: float | None) -> dict:
     """Attach a pass/fail judgment of ``statistic`` when --tol is given."""
-    tol = getattr(args, "tol", None)
-    if tol is not None and statistic is not None:
-        result["tol"] = float(tol)
-        result["within_tol"] = bool(statistic <= tol)
+    if args.tol is not None and statistic is not None:
+        result["tol"] = float(args.tol)
+        result["within_tol"] = bool(statistic <= args.tol)
     return result
 
-def cmd_eigen(args, t0):
+
+def cmd_eigen(args):
     law = _law_from_arg(args.law)
     spec = law.spectrum()
-    _emit(args, _with_tol(args, {
-        "q": law.q, "d": law.d,
-        "rho": _complex_pairs(spec.rho),
-        "is_real": spec.is_real,
-        "is_unit_bounded": spec.is_unit_bounded,
-        "max_imag": float(np.max(np.abs(spec.rho.imag))),
-        "spectrum_hash": _spectrum_hash(spec),
-    }, float(np.max(np.abs(spec.rho.imag)))), t0)
-    return 0
+    max_imag = float(np.max(np.abs(spec.rho.imag)))
+    return {"q": law.q, "d": law.d, "rho": _complex_pairs(spec.rho),
+            "is_real": spec.is_real, "is_unit_bounded": spec.is_unit_bounded,
+            "max_imag": max_imag,
+            "spectrum_hash": _spectrum_hash(spec)}, max_imag
 
 
-def cmd_green(args, t0):
+def cmd_green(args):
     law = _law_from_arg(args.law)
     if args.row is None and not args.out:
         raise ConfigError("$.out: full-matrix output needs --out FILE.csv")
@@ -207,22 +205,16 @@ def cmd_green(args, t0):
     if args.row is not None:
         x = _coords(args.row, law, "$.row")
         row = g.row(x)
-        _emit(args, _with_tol(args, {
-            "alpha": args.alpha, "x": x,
-            "row": [float(v) for v in row],
-            "row_sum": float(row.sum()),
-        }, abs(float(row.sum()) - 1.0)), t0)
-    else:
-        _write_complex_csv(args.out, g.matrix, "y")
-        _emit(argparse.Namespace(**{**vars(args), "out": None}), {
-            "alpha": args.alpha, "matrix_csv": args.out,
-            "rows": int(g.matrix.shape[0]),
-            "max_row_sum_error": float(np.max(np.abs(g.matrix.sum(1) - 1.0))),
-        }, t0)
-    return 0
+        return {"alpha": args.alpha, "x": x, "row": [float(v) for v in row],
+                "row_sum": float(row.sum())}, abs(float(row.sum()) - 1.0)
+    path, args.out = args.out, None
+    _write_complex_csv(path, g.matrix, "y")
+    error = float(np.max(np.abs(g.matrix.sum(1) - 1.0)))
+    return {"alpha": args.alpha, "matrix_csv": path,
+            "rows": int(g.matrix.shape[0]), "max_row_sum_error": error}, None
 
 
-def cmd_mc_green(args, t0):
+def cmd_mc_green(args):
     law = _law_from_arg(args.law)
     x0 = _coords(args.x0, law, "$.x0")
     emp = green.green_mc(law, args.alpha, x0, args.n, args.seed,
@@ -230,44 +222,33 @@ def cmd_mc_green(args, t0):
     exact = green.green_exact(law.spectrum(), args.alpha,
                               materialize=False).row(x0)
     tv = green.tv_distance(emp, exact)
-    _emit(args, _with_tol(args, {
-        "alpha": args.alpha, "x0": x0, "n_walks": args.n,
-        "empirical": [float(v) for v in emp],
-        "tv_to_exact": tv,
-    }, tv), t0)
-    return 0
+    return {"alpha": args.alpha, "x0": x0, "n_walks": args.n,
+            "empirical": [float(v) for v in emp], "tv_to_exact": tv}, tv
 
 
-def cmd_sample_field(args, t0):
+def cmd_sample_field(args):
     law = _law_from_arg(args.law)
-    if not args.out:
+    path, args.out = args.out, None
+    if not path:
         raise ConfigError("$.out: sample-field needs --out FILE.csv")
     spec = law.spectrum()
     sample = fields.sample_field(spec, args.alpha, args.seed,
                                  n_samples=args.n, workers=args.threads)
-    _write_complex_csv(args.out, sample.values, "g")
+    _write_complex_csv(path, sample.values, "g")
     inversion = float(np.max(np.abs(
         fields.invert_field(sample.values, spec, args.alpha) - sample.driver)))
-    _emit(argparse.Namespace(**{**vars(args), "out": None}), _with_tol(args, {
-        "alpha": args.alpha, "n_samples": args.n,
-        "csv": args.out,
-        "inversion_residual": inversion,
-        "spectrum_hash": _spectrum_hash(spec),
-    }, inversion), t0)
-    return 0
+    return {"alpha": args.alpha, "n_samples": args.n, "csv": path,
+            "inversion_residual": inversion,
+            "spectrum_hash": _spectrum_hash(spec)}, inversion
 
 
-def cmd_krawtchouk(args, t0):
+def cmd_krawtchouk(args):
     if args.check:
-        if args.check == "orthogonality":
-            residual = krawtchouk.orthogonality_residual(args.q, args.d,
-                                                         args.max_degree)
-        else:
-            residual = krawtchouk.max_duality_residual(args.q, args.d,
-                                                       args.max_degree)
-        _emit(args, _with_tol(args, {"check": args.check,
-                                     "max_residual": residual}, residual), t0)
-        return 0
+        check = (krawtchouk.orthogonality_residual
+                 if args.check == "orthogonality"
+                 else krawtchouk.max_duality_residual)
+        residual = check(args.q, args.d, args.max_degree)
+        return {"check": args.check, "max_residual": residual}, residual
     if args.l is None or args.m is None:
         raise ConfigError("$.l/$.m: value mode needs both --l and --m")
     l = _int_list(args.l, "$.l")
@@ -277,15 +258,11 @@ def cmd_krawtchouk(args, t0):
     if len(l) != args.q - 1:
         raise ConfigError(f"$.l: need {args.q - 1} degree entries")
     value = krawtchouk.krawtchouk(m, l, args.q)
-    _emit(args, {
-        "l": l, "m": m,
-        "value": [value.real, value.imag],
-        "h_inv": krawtchouk.scale_constant_inv(l, args.d),
-    }, t0)
-    return 0
+    return {"l": l, "m": m, "value": [value.real, value.imag],
+            "h_inv": krawtchouk.scale_constant_inv(l, args.d)}, None
 
 
-def cmd_kappa(args, t0):
+def cmd_kappa(args):
     law = _law_from_arg(args.law)
     l = _int_list(args.l, "$.l")
     out = {"l": l}
@@ -298,12 +275,10 @@ def cmd_kappa(args, t0):
     if args.route == "both":
         out["route_gap"] = float(abs(complex(*out["transform"])
                                      - complex(*out["counts"])))
-        _with_tol(args, out, out["route_gap"])
-    _emit(args, out, t0)
-    return 0
+    return out, out.get("route_gap")
 
 
-def cmd_pointproc(args, t0):
+def cmd_pointproc(args):
     spec = _pointproc_spec_from_arg(args.spec)
     l = _int_list(args.l, "$.l")
     closed = pointprocess.y_moment(spec, l)
@@ -313,31 +288,29 @@ def cmd_pointproc(args, t0):
         "closed_form": [closed.real, closed.imag],
         "half_process_residual": pointprocess.half_process_residual(spec, l),
     }
-    if args.mc:
-        est, se = pointprocess.y_moment_mc(spec, l, args.mc, args.seed,
-                                           workers=args.threads)
-        result["mc_estimate"] = [est.real, est.imag]
-        result["mc_stderr"] = se
-        _with_tol(args, result, abs(est - closed))
-    _emit(args, result, t0)
-    return 0
+    if not args.mc:
+        return result, None
+    est, se = pointprocess.y_moment_mc(spec, l, args.mc, args.seed,
+                                       workers=args.threads)
+    result["mc_estimate"] = [est.real, est.imag]
+    result["mc_stderr"] = se
+    return result, abs(est - closed)
 
 
-def cmd_hamiltonian(args, t0):
+def cmd_hamiltonian(args):
     law = _law_from_arg(args.law)
     res_max, rel_max, diag_gap = hamiltonian.identity_residuals(
         law.spectrum(), args.alpha, np.random.default_rng(args.seed),
         args.n_vectors)
-    _emit(args, _with_tol(args, {
+    return {
         "alpha": args.alpha, "n_vectors": args.n_vectors,
         "max_identity_residual": res_max,
         "max_relative_identity_residual": rel_max,
         "max_diagonalization_gap": diag_gap,
-    }, max(res_max, diag_gap)), t0)
-    return 0
+    }, max(res_max, diag_gap)
 
 
-def cmd_partition(args, t0):
+def cmd_partition(args):
     law = _law_from_arg(args.law)
     spec = law.spectrum()
     pr = hamiltonian.partition_function(spec, args.alpha, args.beta)
@@ -345,7 +318,7 @@ def cmd_partition(args, t0):
     if law.is_exchangeable() and walks.size(law.q, law.d) <= 4096:
         checks["grouping_identity_residual"] = \
             hamiltonian.grouping_identity_residual(law, args.alpha)
-    _emit(args, _with_tol(args, {
+    return {
         "alpha": args.alpha, "beta": args.beta,
         "log_jacobian": pr.log_jacobian,
         "jacobian": pr.jacobian,
@@ -353,11 +326,10 @@ def cmd_partition(args, t0):
         "z": pr.z,
         "representable": pr.representable,
         "checks": checks,
-    }, checks.get("grouping_identity_residual")), t0)
-    return 0
+    }, checks.get("grouping_identity_residual")
 
 
-def cmd_potts(args, t0):
+def cmd_potts(args):
     law = _law_from_arg(args.law)
     spec = law.spectrum()
     pspec = hamiltonian.PottsSpec(spec, args.alpha, args.beta)
@@ -368,22 +340,20 @@ def cmd_potts(args, t0):
     if law.q == 2:
         result["log_expected_partition_delta"] = \
             hamiltonian.log_expected_partition_delta(spec, args.alpha, args.beta)
-    if args.n:
-        sample = fields.sample_field(spec, args.alpha, args.seed,
-                                     n_samples=args.n, workers=args.threads)
-        h = hamiltonian.potts_hamiltonian(pspec, sample)
-        z_samples = np.sum(np.exp(args.beta * h.real), axis=1)
-        mean, se = _mc.mean_and_stderr(z_samples)
-        result["mc_partition"] = float(mean)
-        result["mc_stderr"] = se
-        result["mc_var_h"] = float(h.real.var())
-        _with_tol(args, result, abs(result["mc_partition"]
-                                    - result["expected_partition"]))
-    _emit(args, result, t0)
-    return 0
+    if not args.n:
+        return result, None
+    sample = fields.sample_field(spec, args.alpha, args.seed,
+                                 n_samples=args.n, workers=args.threads)
+    h = hamiltonian.potts_hamiltonian(pspec, sample)
+    z_samples = np.sum(np.exp(args.beta * h.real), axis=1)
+    mean, se = _mc.mean_and_stderr(z_samples)
+    result["mc_partition"] = float(mean)
+    result["mc_stderr"] = se
+    result["mc_var_h"] = float(h.real.var())
+    return result, abs(result["mc_partition"] - result["expected_partition"])
 
 
-def cmd_limit(args, t0):
+def cmd_limit(args):
     rng = np.random.default_rng(args.seed)
     q = args.q
     if args.check == "hermite":
@@ -436,18 +406,15 @@ def cmd_limit(args, t0):
                   "closed_truncation": bound}
     stat = result.get("max_residual", result.get("max_route_gap",
                                                   result.get("route_gap")))
-    _emit(args, _with_tol(args, {"check": args.check, **result}, stat), t0)
-    return 0
+    return {"check": args.check, **result}, stat
 
 
-def cmd_verify(args, t0):
+def cmd_verify(args):
     if args.tol is not None and args.tol <= 0:
         raise ConfigError(
             f"$.tol: verify needs a tolerance scale > 0, got {args.tol}")
-    report = verify.run_suite(args.q, args.d, seed=args.seed,
-                              tol_scale=1.0 if args.tol is None else args.tol)
-    _emit(args, report, t0)
-    return 0 if report["all_pass"] else 1
+    return verify.run_suite(args.q, args.d, seed=args.seed,
+                            tol_scale=1.0 if args.tol is None else args.tol), None
 
 
 def _finite(text: str) -> float:
@@ -504,7 +471,8 @@ MC = _opt("--mc", type=_mc_count, help="Monte-Carlo sample count")
 Q = _opt("--q", type=_at_least(2), required=True)
 D = _opt("--d", type=_at_least(1), required=True)
 # every subcommand takes these
-COMMON = (_opt("--out", help="output file (.csv or .json)"),
+COMMON = (_opt("--out", help="write the JSON document here instead of "
+                            "stdout (sample-field, green matrix: the CSV)"),
           _opt("--tol", type=_finite,
                help="pass/fail threshold on the headline statistic, adds "
                     "within_tol (verify: tolerance scale, default 1.0)"),
@@ -559,58 +527,48 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser,
-                            dict[str, argparse.ArgumentParser]]:
-    """The parser built from COMMANDS, and the subparser of each subcommand."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser built from COMMANDS."""
     parser = _Parser(
         prog="qfield",
         description="Spectral walks on Z_q^d, Green functions, Krawtchouk "
                     "count chains, Gaussian fields and partition functions.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     for name, (help_text, options) in COMMANDS.items():
-        sp = subparsers[name] = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text)
         for flags, kwargs in (*options, *COMMON):
             sp.add_argument(*flags, **kwargs)
         # looked up per build, so a rebound cmd_* (e.g. a profiler's) runs
         sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
-    return parser, subparsers
+    return parser
 
 
-def _config_defaults(command: str, path: str) -> dict:
-    """The --config document as subparser defaults, typed and checked like flags."""
-    options = {flags[-1].lstrip("-").replace("-", "_"): kwargs
-               for flags, kwargs in (*COMMANDS[command][1], *COMMON)}
-    defaults = {}
-    for key, value in _load_json_arg(path, "$.config").items():
-        dest = key.replace("-", "_")
-        if dest not in options:
-            raise ConfigError(f"$.config.{key}: unknown option")
-        kwargs = options[dest]
-        text = value if isinstance(value, str) else json.dumps(value)
-        try:
-            value = kwargs.get("type", str)(text)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"$.config.{key}: {exc}") from None
-        if "choices" in kwargs and value not in kwargs["choices"]:
-            raise ConfigError(
-                f"$.config.{key}: {value!r} is not one of {kwargs['choices']}")
-        defaults[dest] = value
-    return defaults
+def _config_flags(path: str) -> list[str]:
+    """The --config document as ``--key=value`` flags: ``_`` in a key becomes
+    ``-``, and a value that is not a string goes through ``json.dumps``."""
+    return [f"--{key.replace('_', '-')}="
+            + (value if isinstance(value, str) else json.dumps(value))
+            for key, value in _load_json_arg(path, "$.config").items()]
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         t0 = time.monotonic()
         if args.config:
-            # config values become defaults; parsing argv again lets flags win
-            subparsers[args.command].set_defaults(
-                **_config_defaults(args.command, args.config))
-            args = parser.parse_args(argv)
-        return args.func(args, t0)
+            # config flags go first, so the explicit flags after them win;
+            # argv parsed on its own, so an error here is the config's
+            flags = _config_flags(args.config)
+            try:
+                args = parser.parse_args([argv[0], *flags, *argv[1:]])
+            except ConfigError as exc:
+                raise ConfigError(f"$.config: {exc}") from None
+        result, statistic = args.func(args)
+        _emit(args, _with_tol(args, result, statistic), t0)
+        return 1 if result.get("all_pass") is False else 0
     except (ConfigError, RangeError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT

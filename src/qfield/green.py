@@ -6,9 +6,7 @@ The normalized Green kernel used everywhere downstream is
                              = q^-d sum_r lambda[r] theta^((x-y).r),
 
 with lambda[r] = 1 / (1 + alpha/(1-alpha) * (1 - rho[r])).  This matches
-the spectral display; ``green_shifted`` exposes the P-shifted variant
-(1-alpha) sum_t alpha^t P^(t+1) for comparison.  alpha = 0 gives the
-identity.
+the spectral display; alpha = 0 gives the identity.
 
 Also here: the grouped (type-count) form, the Monte-Carlo estimator from
 killed-walk endpoints, the continuous-time resolvent
@@ -75,14 +73,6 @@ def green_exact(spec: Spectrum, alpha: float,
         materialize = n <= MATERIAL_LIMIT
     matrix = circulant_from_kernel(kernel, spec.q, spec.d) if materialize else None
     return GreenOperator(spec.q, spec.d, alpha, lam, kernel, matrix)
-
-
-def green_shifted(spec: Spectrum, alpha: float) -> np.ndarray:
-    """P-shifted variant (1-alpha) sum_t alpha^t P^(t+1) as a full matrix."""
-    from .walks import transition_matrix
-
-    g = green_exact(spec, alpha, materialize=True)
-    return transition_matrix(spec) @ g.matrix
 
 
 def green_grouped(kappas, q: int, d: int, alpha: float, m, n) -> float:

@@ -178,13 +178,20 @@ def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
     return KrawtchoukTable(q, d, degrees, counts, values, h_inv)
 
 
-def _check_count_budget(q: int, d: int) -> None:
-    """Exact checks enumerate all C(d+q-1, q-1) count vectors; refuse
-    more than 100000 before building anything."""
+def _check_count_budget(q: int, d: int, max_degree: int | None) -> None:
+    """Exact checks enumerate all C(d+q-1, q-1) count vectors and build a
+    table of C(L+q-1, q-1) degrees by those counts, L = min(max_degree, d);
+    refuse more than 100000 count vectors or 10^7 table entries before
+    building anything."""
     n = math.comb(d + q - 1, q - 1)
     if n > 100_000:
         raise RangeError(f"{n} count vectors at q={q}, d={d}: enumeration "
                          "too large for exact check (limit 100000)")
+    cap = d if max_degree is None else max(0, min(max_degree, d))
+    entries = n * math.comb(cap + q - 1, q - 1)
+    if entries > 10_000_000:
+        raise RangeError(f"{entries} table entries at q={q}, d={d}, degree "
+                         f"<= {cap}: too large for exact check (limit 10^7)")
 
 
 def orthogonality_residual(q: int, d: int, max_degree: int | None = None,
@@ -192,7 +199,7 @@ def orthogonality_residual(q: int, d: int, max_degree: int | None = None,
     """max_{l,l'} | E[Q_l conj(Q_l')] / sqrt(h_l^-1 h_l'^-1) - delta_{ll'} |
     over the multinomial: the Gram matrix of the normalized polynomials
     against the identity, a relative residual at every d."""
-    _check_count_budget(q, d)
+    _check_count_budget(q, d, max_degree)
     if tab is None:
         tab = table(q, d, max_degree)
     weights = np.array([multinomial_pmf(m, d, q) for m in tab.counts])
@@ -222,7 +229,7 @@ def duality_residual(m, l, q: int) -> float:
 def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float:
     """max of :func:`duality_residual` over |l| <= max_degree and |m| = d:
     Q_l(m) from one table, Q_{m^-}(l^+) for every m from one DP per l."""
-    _check_count_budget(q, d)
+    _check_count_budget(q, d, max_degree)
     tab = table(q, d, max_degree)
     m_minus = [m[1:] for m in tab.counts]
     h_inv_m = np.array([scale_constant_inv(v, d) for v in m_minus], dtype=float)

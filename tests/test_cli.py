@@ -322,6 +322,7 @@ def law_with(**fields):
     ["hamiltonian", "--law", UNIFORM_22, "--alpha", "0.5", "--seed", "1",
      "--config", '{"n_vectors": "x"}'],
     ["kappa", "--law", UNIFORM_22, "--l", "1", "--config", '{"route": "nope"}'],
+    ["eigen", "--law", UNIFORM_22, "--config", '{"bogus": 1}'],
     ["eigen", "--law", law_with(q="2")],
     ["eigen", "--law", law_with(q=2.0)],
     ["eigen", "--law", law_with(q=None)],
@@ -360,7 +361,8 @@ def law_with(**fields):
     ["krawtchouk", "--q", "2", "--d", "3", "--m", "1,2",
      "--l", "100000000000000000000"],
 ], ids=["row-out-of-range", "x0-out-of-range", "x0-short", "beta-nan",
-        "threads-0", "config-type", "config-choice", "q-string", "q-float",
+        "threads-0", "config-type", "config-choice", "config-unknown-key",
+        "q-string", "q-float",
         "q-null", "shift-string", "pmf-string", "out-unwritable",
         "samples-0", "seed-negative", "n-vectors-negative", "potts-n-negative",
         "limit-q-0", "krawtchouk-q-0", "degree-negative", "hamiltonian-alpha-0",
@@ -374,6 +376,10 @@ def test_hostile_input_exits_2(argv):
     assert "config error:" in err
     if argv[0] == "pointproc":
         assert "$.spec" in err
+    if "--config" in argv:
+        # argparse judged the config value as the flag it stands for
+        key = next(iter(json.loads(argv[-1])))
+        assert "$.config: qfield" in err and f"--{key.replace('_', '-')}" in err
 
 
 def _refuse(*args, **kwargs):
@@ -402,6 +408,24 @@ def test_krawtchouk_check_caps_count_vectors_before_the_table(monkeypatch,
                              "--check", check, "--max-degree", "2"])
     assert code == 2
     assert "config error:" in err and "125751 count vectors" in err
+
+
+def test_krawtchouk_check_caps_table_entries_before_the_table(monkeypatch):
+    # 45451 count vectors pass the count cap; 45451^2 table entries do not
+    monkeypatch.setattr(cli.krawtchouk, "table", _refuse)
+    code, _, err = run_main(["krawtchouk", "--q", "3", "--d", "300",
+                             "--check", "orthogonality"])
+    assert code == 2
+    assert "config error:" in err and "table entries" in err
+
+
+def test_out_receives_the_document_whatever_its_suffix(tmp_path):
+    out = tmp_path / "r.txt"
+    code, text, err = run_main(["eigen", "--law", UNIFORM_22, "--out",
+                                str(out)])
+    assert code == 0, err
+    assert text == ""
+    assert json.loads(out.read_text())["result"]["q"] == 2
 
 
 def test_potts_above_dense_limit():
@@ -443,6 +467,15 @@ def test_explicit_flag_beats_config_in_process():
     result = json.loads(out)["result"]
     assert result["alpha"] == 0.3
     assert result["n_vectors"] == 3
+
+
+def test_explicit_choice_beats_config_in_process():
+    code, out, err = run_main(
+        ["kappa", "--law", UNIFORM_22, "--l", "1", "--route", "counts",
+         "--config", '{"route": "both"}'])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert "counts" in result and "transform" not in result
 
 
 _junk = st.one_of(

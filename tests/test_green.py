@@ -57,18 +57,6 @@ def test_green_matches_series_oracle(alpha, builder):
     assert np.max(np.abs(g.matrix - oracle)) < 1e-9
 
 
-def test_green_shifted_is_p_times_green():
-    law = walks.lazy_walk(2, 2, [0.4])
-    spec = law.spectrum()
-    shifted = green.green_shifted(spec, 0.5)
-    p = walks.transition_matrix(spec)
-    g = green.green_exact(spec, 0.5).matrix
-    assert np.allclose(shifted, p @ g, atol=1e-12)
-    # literal series with P^(t+1)
-    oracle = p @ brute_force_green(spec, 0.5)
-    assert np.max(np.abs(shifted - oracle)) < 1e-9
-
-
 def test_green_structure_invariants():
     # the kernel is always real with unit row sums; it is symmetric
     # (equivalently Hermitian) exactly when the spectrum is real, and

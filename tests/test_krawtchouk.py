@@ -250,6 +250,19 @@ def test_exact_checks_cap_count_vectors_before_the_table(monkeypatch, check):
             check(3, 500, max_degree)
 
 
+@pytest.mark.parametrize("check", [kw.orthogonality_residual,
+                                   kw.max_duality_residual])
+def test_exact_checks_cap_table_entries_before_the_table(monkeypatch, check):
+    # C(302, 2) = 45451 count vectors pass the count cap, but a table of
+    # 45451 degrees by 45451 counts is 2.07e9 entries
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built before the size check")
+
+    monkeypatch.setattr(kw, "table", refuse)
+    with pytest.raises(lattice.RangeError, match="2065793401 table entries"):
+        check(3, 300)
+
+
 def test_duality_residual_is_relative_at_d20():
     # h_{m-}^-1 h_l^-1 reaches 1.8e16 here, where the absolute gap is 8.3e-3
     assert kw.max_duality_residual(3, 20, 20) <= 1e-9
