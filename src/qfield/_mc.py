@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import RangeError
+from .lattice import RangeError, budget
 
 BLOCK = 2**15
 
@@ -27,8 +27,9 @@ def run_chunked(
 ) -> np.ndarray:
     """``draw(rng, m)`` per block of ``total`` draws, joined along axis 0.
 
-    Block 0 draws from ``SeedSequence(seed).spawn(1)[0]``; one block
-    returns ``draw``'s array itself.
+    Block 0 draws first, from ``SeedSequence(seed).spawn(1)[0]``, and its
+    array sizes the whole run against the entry budget; one block returns
+    ``draw``'s array itself.
     """
     if total < 1 or workers < 1:
         raise RangeError(f"need total >= 1 and workers >= 1, "
@@ -39,12 +40,14 @@ def run_chunked(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         return draw(rng, min(BLOCK, total - i * BLOCK))
 
+    first = block(0)
+    budget(f"{total} Monte-Carlo draws", entries=first.size * total // min(BLOCK, total))
     if workers == 1 or n_blocks == 1:
-        parts = [block(i) for i in range(n_blocks)]
+        rest = [block(i) for i in range(1, n_blocks)]
     else:
         with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            parts = list(pool.map(block, range(n_blocks)))
-    return parts[0] if n_blocks == 1 else np.concatenate(parts)
+            rest = list(pool.map(block, range(1, n_blocks)))
+    return first if n_blocks == 1 else np.concatenate([first, *rest])
 
 
 def mean_and_stderr(samples: np.ndarray) -> tuple[complex, float]:

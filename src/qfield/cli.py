@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, _mc, fields, green, hamiltonian, krawtchouk, limits
 from . import pointprocess, verify, walks
 from .krawtchouk import KappaError
-from .lattice import RangeError, ShapeError
+from .lattice import MATERIAL_LIMIT, RangeError, ShapeError, budget
 from .fields import ReversibilityError
 from .walks import ContractError, KernelError
 
@@ -257,9 +257,10 @@ def cmd_krawtchouk(args):
         raise ConfigError(f"$.m: need {args.q} counts summing to {args.d}")
     if len(l) != args.q - 1:
         raise ConfigError(f"$.l: need {args.q - 1} degree entries")
+    h_inv = krawtchouk.scale_constant_inv(l, args.d)  # refuses |l| > d
     value = krawtchouk.krawtchouk(m, l, args.q)
     return {"l": l, "m": m, "value": [value.real, value.imag],
-            "h_inv": krawtchouk.scale_constant_inv(l, args.d)}, None
+            "h_inv": h_inv}, None
 
 
 def cmd_kappa(args):
@@ -315,7 +316,7 @@ def cmd_partition(args):
     spec = law.spectrum()
     pr = hamiltonian.partition_function(spec, args.alpha, args.beta)
     checks = {}
-    if law.is_exchangeable() and walks.size(law.q, law.d) <= 4096:
+    if law.is_exchangeable() and walks.size(law.q, law.d) <= MATERIAL_LIMIT:
         checks["grouping_identity_residual"] = \
             hamiltonian.grouping_identity_residual(law, args.alpha)
     return {
@@ -359,6 +360,11 @@ def cmd_limit(args):
     if args.check == "hermite":
         result = {"max_residual": limits.hermite_orthogonality_residual(q, 8)}
     elif args.check == "limit-kraw":
+        # route B runs a DP of 4 passes, q steps each, over a 5^(q-1) box per
+        # degree and point (past q = 65, 5^64 already reads "more than 2^64")
+        steps = 4 * q * 10 * math.comb(q + 3, 4)
+        budget(f"limit-kraw at q={q}", steps=steps,
+               touched=steps * 5 ** min(q - 1, 64))
         worst = 0.0
         for _ in range(10):
             m = limits.full_type_vector(rng.standard_normal(q - 1), q)
@@ -368,9 +374,9 @@ def cmd_limit(args):
                     - limits.limit_krawtchouk_hermite(m, l, q)))
         result = {"max_route_gap": worst}
     elif args.check == "transform":
+        degrees = krawtchouk.degree_indices(q, 3, 2)
         omega = np.zeros(q)
         omega[1:] = rng.standard_normal(q - 1)
-        degrees = krawtchouk.degree_indices(q, 3, 2)
         checks = limits.transform_identity(omega, degrees, q,
                                            args.mc or 200_000, args.seed)
         rows = [{"l": list(l), "mc": [mc.real, mc.imag],
@@ -399,8 +405,9 @@ def cmd_limit(args):
         psi = np.zeros(q)
         omega[1] = 0.3
         psi[1] = 0.5
-        a, bound = limits.transform_field_cov_closed(omega, psi, spec)
+        # the series route enumerates its degrees first: large q stops there
         b, tail = limits.transform_field_cov_series(omega, psi, spec, 12)
+        a, bound = limits.transform_field_cov_closed(omega, psi, spec)
         result = {"closed": [a.real, a.imag], "series": [b.real, b.imag],
                   "route_gap": abs(a - b), "series_tail": tail,
                   "closed_truncation": bound}

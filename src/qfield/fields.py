@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _mc
 from .green import WrappedLaw, frequency_box, green_eigenvalues
-from .lattice import RangeError, all_states, dft, size
+from .lattice import RangeError, all_states, budget, dft, size
 from .walks import Spectrum
 
 
@@ -55,6 +55,8 @@ def sample_field(spec: Spectrum, alpha: float, seed: int,
     """Draw fields; deterministic given the seed, whatever ``workers``."""
     weights = synthesis_weights(spec, alpha)
     n = size(spec.q, spec.d)
+    # a row has q^d entries, so even block 0 can exceed the budget alone
+    budget(f"{n_samples} fields of {n} points", entries=n_samples * n)
 
     def draw(rng, m):
         return rng.standard_normal((m, n))

@@ -115,13 +115,12 @@ def green_mc(law: IncrementLaw, alpha: float, x0, n_walks: int, seed: int,
              workers: int = 1) -> np.ndarray:
     """Empirical pmf of the killed endpoint X_T, a consistent estimate of
     the Green row (1-alpha) G(x0, .)."""
-    if n_walks < 1:
-        raise RangeError("n_walks must be >= 1")
+    n = size(law.q, law.d)
     endpoints = simulate_killed(law, x0, KillingLaw(alpha), seed,
                                 n_walks=n_walks, workers=workers)
     offsets = law.q ** np.arange(law.d, dtype=np.int64)
     ranks = endpoints @ offsets
-    return np.bincount(ranks, minlength=size(law.q, law.d)) / n_walks
+    return np.bincount(ranks, minlength=n) / n_walks
 
 
 def tv_distance(p: np.ndarray, q_: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import FieldSample, ReversibilityError
 from .green import green_eigenvalues, green_exact
-from .lattice import RangeError, circulant_from_kernel, dft, size
+from .lattice import RangeError, budget, circulant_from_kernel, dft, size
 from .walks import (ContractError, Spectrum, transition_kernel,
                     transition_matrix)
 
@@ -103,6 +103,8 @@ def identity_residuals(spec: Spectrum, alpha: float, rng, n_vectors: int
     driver, from ``rng``.  P and its kernel transform are built once."""
     n = size(spec.q, spec.d)
     _check_identity_args(spec, alpha)
+    budget(f"{n_vectors} identity checks at {n} points", entries=n * n,
+           steps=n_vectors, touched=n_vectors * n * n)
     kernel = transition_kernel(spec)
     p = circulant_from_kernel(kernel, spec.q, spec.d)
     k_hat = _kernel_transform(kernel, spec)

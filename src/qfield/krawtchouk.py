@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import RangeError, all_states, roots
+from .lattice import RangeError, all_states, budget, roots
 from .walks import (ContractError, IncrementLaw, _check_degree, xi_powers,
                     xi_transform)
 
@@ -39,21 +39,14 @@ class KappaError(ValueError):
 def degree_indices(q: int, d: int, max_total: int | None = None) -> list[tuple[int, ...]]:
     """All l in N^(q-1) with |l| <= max_total (default d), lex order."""
     cap = d if max_total is None else min(max_total, d)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], cap, q - 1)
-    return sorted(out)
+    # l followed by the slack cap - |l| is a count vector over q types
+    return [m[:-1] for m in count_vectors(q, cap)]
 
 
 def count_vectors(q: int, d: int) -> list[tuple[int, ...]]:
     """All m in N^q with |m| = d, lex order."""
+    n = math.comb(max(d + q - 1, 0), q - 1)
+    budget(f"{n} count vectors at q={q}, d={d}", entries=n * q, steps=n)
     out: list[tuple[int, ...]] = []
 
     def rec(prefix, remaining, slots):
@@ -80,7 +73,11 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     entries with |l| > sum(m) come out exactly 0."""
     m = _check_counts(m, q)
     degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, q - 1)
-    box = tuple(np.max(degrees, axis=0, initial=0) + 1)
+    box = tuple((np.max(degrees, axis=0, initial=0) + 1).tolist())
+    passes, n = int(m.sum()), math.prod(box)
+    # two coefficient arrays; each pass is a copy and q - 1 shifted adds
+    budget(f"the Krawtchouk DP at q={q}, |m|={passes}", entries=2 * n,
+           steps=passes * q, touched=passes * q * n)
     # multiplying by w_k shifts the coefficient array one step up axis k-1
     shifts = [(k, (slice(None),) * (k - 1) + (slice(1, None),),
                (slice(None),) * (k - 1) + (slice(0, -1),))
@@ -169,6 +166,7 @@ class KrawtchoukTable:
 
 def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
     """Q_l(m) for |l| <= max_degree (default d) and |m| = d, one DP per m."""
+    _check_count_budget(q, d, max_degree)
     degrees = degree_indices(q, d, max_degree)
     counts = count_vectors(q, d)
     values = np.empty((len(degrees), len(counts)), dtype=complex)
@@ -179,19 +177,15 @@ def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
 
 
 def _check_count_budget(q: int, d: int, max_degree: int | None) -> None:
-    """Exact checks enumerate all C(d+q-1, q-1) count vectors and build a
-    table of C(L+q-1, q-1) degrees by those counts, L = min(max_degree, d);
-    refuse more than 100000 count vectors or 10^7 table entries before
-    building anything."""
+    """Exact checks build a table of the C(L+q-1, q-1) degrees, L =
+    min(max_degree, d), by all C(d+q-1, q-1) count vectors, one DP over an
+    (L+1)^(q-1) box per count vector: refuse it before building anything."""
     n = math.comb(d + q - 1, q - 1)
-    if n > 100_000:
-        raise RangeError(f"{n} count vectors at q={q}, d={d}: enumeration "
-                         "too large for exact check (limit 100000)")
     cap = d if max_degree is None else max(0, min(max_degree, d))
     entries = n * math.comb(cap + q - 1, q - 1)
-    if entries > 10_000_000:
-        raise RangeError(f"{entries} table entries at q={q}, d={d}, degree "
-                         f"<= {cap}: too large for exact check (limit 10^7)")
+    budget(f"{n} count vectors and {entries} table entries at q={q}, d={d}, "
+           f"degree <= {cap}", entries=entries, steps=n * d * q,
+           touched=n * d * q * (cap + 1) ** (q - 1))
 
 
 def orthogonality_residual(q: int, d: int, max_degree: int | None = None,
@@ -245,6 +239,10 @@ def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float
 
 def kappa_route_counts(law: IncrementLaw, l) -> complex:
     """Route A: kappa_l = h_l sum_m P(counts of V = m) Q_l(m)."""
+    l = _check_degree(l, law.q)
+    n = math.comb(law.d + law.q - 1, law.q - 1) * law.d * law.q  # DP steps
+    budget(f"route A at q={law.q}, d={law.d}", steps=n,
+           touched=n * math.prod(v + 1 for v in l))
     h_l = 1.0 / scale_constant_inv(l, law.d)
     mean = sum(prob * krawtchouk(m, l, law.q)
                for m, prob in law.count_law().items())
@@ -253,6 +251,7 @@ def kappa_route_counts(law: IncrementLaw, l) -> complex:
 
 def kappa_route_transform(law: IncrementLaw, l) -> complex:
     """Route B: kappa_l = E[prod_k xi[k]^l[k]] over the mixing measure."""
+    _check_degree(l, law.q)  # before the (n, q) mixing measure is built
     weights, pmfs = law.mixing_measure()
     xi = np.stack([xi_transform(p) for p in pmfs])
     return complex(weights @ xi_powers(xi, l))

@@ -22,19 +22,23 @@ length-2 row; it needs only whole-array adds, subtracts and multiplies.
 Either way the result equals ``np.fft.fftn`` over the d lattice axes bit
 for bit.  A naive O(q^{2d}) double-sum path is kept as a test oracle.
 
-Dense matrices over lattice pairs, such as the circulant
-M[x, y] = k(x - y), are built only up to ``MATERIAL_LIMIT`` = 4096
-points (a 128 MB float64 matrix); larger shapes raise RangeError, and
-callers work with the kernel instead.
+Every call stays inside one size budget: :func:`budget` refuses, before
+anything is built, more than ``ENTRY_BUDGET`` = 2^24 array entries (128 MB
+of float64) or more than ``STEP_BUDGET`` = 2^20 steps, one step being one
+Python-level loop iteration or 2^10 array entries touched.  So a dense
+(q^d, q^d) matrix exists only up to ``MATERIAL_LIMIT`` = 4096 points.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-
-# largest q**d whose dense (q**d, q**d) matrix may be built: 128 MB of float64
-MATERIAL_LIMIT = 4096
+ENTRY_BUDGET = 2**24
+STEP_BUDGET = 2**20
+# largest q**d whose dense (q**d, q**d) matrix fits the entry budget
+MATERIAL_LIMIT = math.isqrt(ENTRY_BUDGET)
 
 
 class ShapeError(ValueError):
@@ -45,11 +49,28 @@ class RangeError(ValueError):
     """Index or parameter outside its permitted range."""
 
 
+def budget(what: str, entries: int = 0, steps: int = 0, touched: int = 0) -> None:
+    """Refuse a build of ``entries`` array entries, or a run of ``steps``
+    loop iterations that touch ``touched`` array entries in all, beyond
+    the budgets: RangeError naming ``what``, the amount and the budget."""
+    steps += -(-touched // 2**10)
+    if entries <= ENTRY_BUDGET and steps <= STEP_BUDGET:
+        return
+    for amount, limit, unit, name in ((entries, ENTRY_BUDGET, "entries", "entry"),
+                                      (steps, STEP_BUDGET, "steps", "step")):
+        if amount > limit:
+            need = amount if amount < 2**64 else "more than 2^64"
+            raise RangeError(f"{what}: needs {need} {unit}, over the {name} "
+                             f"budget of {limit}")
+
+
 def size(q: int, d: int) -> int:
-    """Number of lattice points, q**d."""
+    """Number of lattice points, q**d, within the entry budget."""
     if q < 2 or d < 1:
         raise RangeError(f"need q >= 2 and d >= 1, got q={q}, d={d}")
-    return q**d
+    n = q**d if d < 65 else q**65  # q^65 > 2^64 reads "more than 2^64"
+    budget(f"the {q}^{d}-point lattice", entries=n)
+    return n
 
 
 def rank(entries, q: int) -> int:
@@ -86,19 +107,19 @@ def unrank(i: int, q: int, d: int) -> tuple[int, ...]:
 def all_states(q: int, d: int) -> np.ndarray:
     """(q**d, d) integer array whose row i is unrank(i, q, d)."""
     n = size(q, d)
+    budget(f"the ({n}, {d}) state table", entries=n * d)
     i = np.arange(n, dtype=np.int64)[:, None]
     return (i // q ** np.arange(d, dtype=np.int64)[None, :]) % q
 
 
 def roots(q: int) -> np.ndarray:
     """theta^j for j = 0..q-1, theta = exp(2*pi*i/q)."""
-    if q < 2:
-        raise RangeError(f"need q >= 2, got {q}")
-    return np.exp(2j * np.pi * np.arange(q) / q)
+    return np.exp(2j * np.pi * np.arange(size(q, 1)) / q)
 
 
 def axis_tensor(vectors: list[np.ndarray]) -> np.ndarray:
     """Little-endian tensor product: out[rank(r)] = prod_k vectors[k][r[k]]."""
+    budget("a tensor product", entries=math.prod(len(v) for v in vectors))
     acc = np.ones(1, dtype=complex)
     for v in vectors:
         acc = np.multiply.outer(np.asarray(v, dtype=complex), acc).ravel()
@@ -231,9 +252,8 @@ def circulant_from_kernel(kernel: np.ndarray, q: int, d: int) -> np.ndarray:
     n = size(q, d)
     if kernel.shape != (n,):
         raise ShapeError(f"kernel has shape {kernel.shape}, expected ({n},)")
-    if n > MATERIAL_LIMIT:
-        raise RangeError(f"an {n} x {n} matrix exceeds the materialization "
-                         f"limit of {MATERIAL_LIMIT} lattice points")
+    budget(f"an {n} x {n} matrix (materialization limit {MATERIAL_LIMIT} "
+           "lattice points)", entries=n * n)
     m = np.empty((n, n), dtype=kernel.dtype)
     m[0] = circulant_row(kernel, (0,) * d, q, d)
     low = 1  # q^j: rows [0, low) are filled

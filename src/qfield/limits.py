@@ -26,7 +26,7 @@ from . import _mc
 from .green import grouped_sum
 from .krawtchouk import (count_vectors, degree_indices, kappa_getter,
                          krawtchouk_values, log_scale_constant_inv)
-from .lattice import RangeError, roots
+from .lattice import RangeError, budget, roots
 from .pointprocess import PointProcessSpec, y_moment
 from .walks import ContractError
 
@@ -301,6 +301,7 @@ def _check_transform_args(omega, psi, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _transform_couplings(omega, psi, q: int) -> np.ndarray:
     """u_k = q^-2 (sum_a w[a] theta_k^a)(sum_b psi[b] theta_k^-b)."""
+    budget(f"the transform couplings at q={q}", steps=q, touched=2 * q * q)
     theta = roots(q)
     a = np.arange(q)
     u = np.empty(q - 1, dtype=complex)
@@ -318,11 +319,12 @@ def transform_field_cov_series(omega, psi, spec: PointProcessSpec,
     Returns (value, tail estimate over degrees L+1, L+2).
     """
     omega, psi = _check_transform_args(omega, psi, spec.q)
+    degrees = degree_indices(spec.q, max_degree + 1, max_degree)
     u = _transform_couplings(omega, psi, spec.q)
     full = PointProcessSpec(spec.alpha, spec.atoms, 1.0)
     pref = gaussian_char(omega, spec.q) * gaussian_char(-psi, spec.q)
     acc = 0.0 + 0.0j
-    for l in degree_indices(spec.q, max_degree + 1, max_degree):
+    for l in degrees:
         term = complex(y_moment(full, l))
         for k, v in enumerate(l):
             term *= u[k] ** v / math.factorial(v)
@@ -352,11 +354,15 @@ def transform_field_cov_closed(omega, psi, spec: PointProcessSpec,
     weights = spec.weights()
     n_atoms = len(weights)
     alpha = spec.alpha
+    # t runs to alpha^t <= mass_eps over C(t+a, a) atom compositions in all
+    horizon = math.ceil(math.log(mass_eps) / math.log(alpha)) if alpha else 1
+    comps = math.comb(horizon + n_atoms, n_atoms)
+    budget(f"the closed transform-field route at alpha={alpha}",
+           steps=comps * n_atoms, touched=comps * n_atoms * spec.q)
     pref = gaussian_char(omega, spec.q) * gaussian_char(-psi, spec.q)
     acc = 0.0 + 0.0j
     mass = 0.0
     t = 0
-    log_w = np.log(np.where(weights > 0, weights, 1.0))
     while mass < 1.0 - mass_eps:
         p_t = (1.0 - alpha) * alpha**t
         inner = 0.0 + 0.0j
@@ -376,7 +382,5 @@ def transform_field_cov_closed(omega, psi, spec: PointProcessSpec,
         acc += p_t * inner
         mass += p_t
         t += 1
-        if t > 100_000:
-            raise RuntimeError("killing mass accumulates too slowly")
     bound = (1.0 - mass) * math.exp(float(np.sum(np.abs(u))))
     return complex(pref * acc), float(abs(pref) * bound)

@@ -25,9 +25,10 @@ def _check(name, statistic, tol, extra=None):
 
 
 def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
+    n = lattice.size(q, d)
+    lattice.budget(f"verify at {n} points, with a dense P", entries=n * n)
     rng = np.random.default_rng(seed)
     checks = []
-    n = lattice.size(q, d)
 
     # transform round trip / Parseval
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -69,15 +70,14 @@ def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
         checks.append(_check("green_psd", max(0.0, -eigmin), 1e-10 * tol_scale))
 
     # grouped eigenvalue routes and the multinomial grouping identity
-    if n <= 4096:
-        degs = krawtchouk.degree_indices(q, d, min(d, 3))
-        route_gap = max(abs(krawtchouk.kappa_route_counts(law, l)
-                            - krawtchouk.kappa_route_transform(law, l))
-                        for l in degs)
-        checks.append(_check("kappa_routes", route_gap, 1e-10 * tol_scale))
-        checks.append(_check("log_grouping_identity",
-                             hamiltonian.grouping_identity_residual(law, alpha),
-                             1e-10 * tol_scale))
+    degs = krawtchouk.degree_indices(q, d, min(d, 3))
+    route_gap = max(abs(krawtchouk.kappa_route_counts(law, l)
+                        - krawtchouk.kappa_route_transform(law, l))
+                    for l in degs)
+    checks.append(_check("kappa_routes", route_gap, 1e-10 * tol_scale))
+    checks.append(_check("log_grouping_identity",
+                         hamiltonian.grouping_identity_residual(law, alpha),
+                         1e-10 * tol_scale))
 
     # Krawtchouk orthogonality / duality at affordable degree
     deg_cap = min(d, 3)

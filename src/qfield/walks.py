@@ -45,16 +45,8 @@ from itertools import combinations
 import numpy as np
 
 from . import _mc
-from .lattice import (
-    RangeError,
-    all_states,
-    axis_tensor,
-    circulant_from_kernel,
-    dft,
-    point,
-    rank,
-    size,
-)
+from .lattice import (RangeError, all_states, axis_tensor, budget,
+                      circulant_from_kernel, dft, point, rank, size)
 
 PMF_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -130,11 +122,9 @@ class Spectrum:
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.shape != (size(self.q, self.d),):
-            raise RangeError(
-                f"spectrum needs q^d = {size(self.q, self.d)} entries, "
-                f"got {self.rho.shape}"
-            )
+        n = size(self.q, self.d)
+        if self.rho.shape != (n,):
+            raise RangeError(f"spectrum needs q^d = {n} entries, got {self.rho.shape}")
         if abs(self.rho[0] - 1.0) > 1e-10:
             raise RangeError(f"rho[0] = {self.rho[0]!r}, must be 1")
         self.is_unit_bounded = bool(np.max(np.abs(self.rho)) <= 1.0 + 1e-12)
@@ -240,6 +230,7 @@ class DeterministicLaw(IncrementLaw):
             raise RangeError(f"shift must have length {self.d}")
 
     def spectrum(self) -> Spectrum:
+        size(self.q, self.d)  # budgeted before the d vectors of length q
         vecs = [np.exp(2j * np.pi * v * np.arange(self.q) / self.q) for v in self.shift]
         return Spectrum(axis_tensor(vecs), self.q, self.d)
 
@@ -278,6 +269,7 @@ class ProductIIDLaw(IncrementLaw):
         self.p = _check_pmf(self.p, self.q, "ProductIIDLaw")
 
     def spectrum(self) -> Spectrum:
+        size(self.q, self.d)  # budgeted before the d-fold list
         xi = xi_transform(self.p)
         return Spectrum(axis_tensor([xi] * self.d), self.q, self.d)
 
@@ -462,6 +454,7 @@ def lazy_walk(q: int, d: int, gammas, weights=None) -> DeFinettiMixtureLaw:
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     if np.any(gammas < 0) or np.any(gammas > 1):
         raise RangeError("gamma atoms must lie in [0, 1]")
+    budget(f"{len(gammas)} pmfs on Z_{q}", entries=len(gammas) * q)
     if weights is None:
         weights = np.full(len(gammas), 1.0 / len(gammas))
     pmfs = []
@@ -581,12 +574,13 @@ class KillingLaw:
 
     def truncation_horizon(self, eps: float = 1e-12) -> int:
         """Smallest T with P(T <= T) >= 1 - eps."""
+        # the tail falls below eps about (phi + log 1/eps) / (1 - alpha) in
+        budget(f"the killing horizon at alpha={self.alpha}",
+               steps=math.ceil((self.phi - math.log(eps)) / (1.0 - self.alpha)))
         mass, t = 0.0, 0
         while mass < 1.0 - eps:
             mass += float(self.pmf(t))
             t += 1
-            if t > 10_000_000:
-                raise RuntimeError("killing law mass accumulates too slowly")
         return t - 1
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -644,6 +638,10 @@ def simulate_killed(
     to lie on the lattice.
     """
     x0 = point(x0, law.q, law.d)
+    mean = killing.phi * killing.alpha / (1.0 - killing.alpha)
+    blocks = -(-n_walks // _mc.BLOCK)  # each loops about a mean horizon
+    budget(f"{n_walks} killed walks at alpha={killing.alpha}",
+           steps=blocks * math.ceil(mean), touched=math.ceil(n_walks * law.d * mean))
 
     def draw(rng, m):
         horizon = killing.sample(rng, m)

@@ -1,11 +1,16 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -646,3 +651,181 @@ def _other_argv(draw):
 def test_fuzz_exit_codes_other_subcommands(argv):
     code, _, err = run_main(argv)
     assert code in (0, 2, 3), err
+
+
+def test_krawtchouk_refuses_a_degree_above_d_before_evaluating():
+    # the refused input is never evaluated, so it warns about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_main(["krawtchouk", "--q", "2", "--d", "3", "--m",
+                                 "1,2", "--l", "100000000000000000000"])
+    assert code == 2
+    assert "config error: |l| = 100000000000000000000 exceeds d = 3" in err
+
+
+def _traced_main(argv):
+    """``run_main`` under tracemalloc: (exit code, stderr, traced peak)."""
+    tracemalloc.start()
+    try:
+        code, _, err = run_main(argv)
+        return code, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q", ["16", "400"])
+def test_limit_kraw_refuses_a_large_q_before_building(q):
+    code, err, peak = _traced_main(["limit", "--check", "limit-kraw",
+                                    "--q", q])
+    assert code == 2
+    assert f"config error: limit-kraw at q={q}: needs" in err
+    assert peak < 2**22, peak
+
+
+def test_verify_refuses_a_dense_p_over_budget_before_any_check(monkeypatch):
+    monkeypatch.setattr(cli.verify.lattice, "dft", _refuse)
+    code, _, err = run_main(["verify", "--q", "2", "--d", "13"])
+    assert code == 2
+    assert "config error: verify at 8192 points" in err
+
+
+UNIFORM_2_40 = json.dumps({"variant": "uniform", "q": 2, "d": 40})
+UNIFORM_2_3 = json.dumps({"variant": "uniform", "q": 2, "d": 3})
+ZEROS_40 = ",".join(["0"] * 40)
+HALF_SPEC = json.dumps({"alpha": 0.5,
+                        "atoms": [{"pmf": [0.5, 0.5], "weight": 1.0}]})
+OVER_BUDGET = {
+    "eigen-2^40": ["eigen", "--law", UNIFORM_2_40],
+    "partition-2^40": ["partition", "--law", UNIFORM_2_40, "--alpha", "0.5",
+                       "--beta", "1"],
+    "green-row-2^40": ["green", "--law", UNIFORM_2_40, "--alpha", "0.5",
+                       "--row", ZEROS_40],
+    "potts-2^40": ["potts", "--law", UNIFORM_2_40, "--alpha", "0.5", "--beta",
+                   "0.3"],
+    "mc-green-2^40": ["mc-green", "--law", UNIFORM_2_40, "--alpha", "0.5",
+                      "--x0", ZEROS_40, "--n", "10", "--seed", "1"],
+    "sample-field-2^40": ["sample-field", "--law", UNIFORM_2_40, "--alpha",
+                          "0.5", "-n", "2", "--seed", "1", "--out", os.devnull],
+    "sample-field-n": ["sample-field", "--law", UNIFORM_2_3, "--alpha", "0.5",
+                       "-n", "100000000", "--seed", "1", "--out", os.devnull],
+    "mc-green-n": ["mc-green", "--law", UNIFORM_2_3, "--alpha", "0.5", "--x0",
+                   "0,0,0", "--n", "2000000000", "--seed", "1"],
+    "pointproc-mc": ["pointproc", "--spec", HALF_SPEC, "--l", "1", "--mc",
+                     "3000000000"],
+    "hamiltonian-n-vectors": ["hamiltonian", "--law", UNIFORM_2_3, "--alpha",
+                              "0.5", "--seed", "1", "--n-vectors",
+                              "1000000000"],
+    "mc-green-alpha": ["mc-green", "--law", UNIFORM_2_3, "--alpha",
+                       "0.999999999", "--x0", "0,0,0", "--n", "10", "--seed",
+                       "1"],
+    "field-transform-alpha": ["limit", "--check", "field-transform", "--q",
+                              "3", "--alpha", "0.99"],
+    "verify-2^13": ["verify", "--q", "2", "--d", "13"],
+    "limit-kraw-16": ["limit", "--check", "limit-kraw", "--q", "16"],
+    "limit-kraw-400": ["limit", "--check", "limit-kraw", "--q", "400"],
+}
+
+
+def _two_gb_address_space():
+    # runs in the child between fork and exec: the limit is the child's
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
+def test_over_budget_argv_exits_2_at_once(argv):
+    proc = subprocess.run([sys.executable, "-m", "qfield", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=_two_gb_address_space)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    [line] = [s for s in proc.stderr.splitlines()
+              if s.startswith("config error:")]
+    assert re.search(r": needs (\d+|more than 2\^64) (entries|steps), over "
+                     r"the (entry|step) budget of \d+$", line), line
+
+
+def _mostly(big, small):
+    """Three draws in four from ``big``, the rest from ``small``."""
+    return st.integers(0, 3).flatmap(lambda k: small if k == 0 else big)
+
+
+# counts and alphas past every budget, or at desk scale
+_size_count = _mostly(st.integers(2**25, 10**12), st.integers(2, 20)).map(str)
+_size_alpha = _mostly(st.integers(7, 12).map(lambda k: repr(1.0 - 10.0**-k)),
+                      st.floats(0.05, 0.9).map(repr))
+
+
+@st.composite
+def _size_law(draw):
+    """A law document with q^d in (2^24, 2^64], or q^d <= 64 one time in
+    four.  A pmf over Z_q is written out, so only the uniform and
+    deterministic laws draw q past 16."""
+    variant = draw(st.sampled_from(
+        ["uniform", "deterministic", "product_iid", "definetti_mixture",
+         "sparse_exchangeable"]))
+    if draw(st.integers(0, 3)) == 0:
+        q, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    else:
+        q = draw(st.integers(2, 2**40 if variant in ("uniform", "deterministic")
+                             else 16))
+        low = next(d for d in itertools.count(1) if q**d > 2**24)
+        d = draw(st.integers(low, max(d for d in range(1, 65)
+                                      if q**d <= 2**64)))
+    pmf = [1.0 / q] * q if q <= 16 else None
+    return {"variant": variant, "q": q, "d": d, "c": 1, "pmf": pmf,
+            "joint_pmf": pmf, "shift": [1] * d,
+            "components": [{"weight": 1.0, "pmf": pmf}]}
+
+
+@st.composite
+def _size_argv(draw):
+    """An argv whose sizes are mostly past the budgets: q^d up to 2^64 for
+    every subcommand that takes a law (and verify), limit --q up to 10^6,
+    --n, --mc and --n-vectors up to 10^12 and alpha up to 1 - 10^-12."""
+    command = draw(st.sampled_from(
+        ["eigen", "green", "mc-green", "sample-field", "kappa", "hamiltonian",
+         "partition", "potts", "pointproc", "limit", "verify"]))
+    law, alpha, n = draw(_size_law()), draw(_size_alpha), draw(_size_count)
+    q, d = law["q"], law["d"]
+    if command == "pointproc":
+        spec = {"alpha": float(alpha),
+                "atoms": [{"pmf": [0.5, 0.5], "weight": 1.0}]}
+        return [command, "--spec", json.dumps(spec), "--l", "1", "--mc", n,
+                "--threads", "2"]
+    if command == "limit":
+        q = draw(_mostly(st.integers(400, 10**6), st.integers(2, 4)))
+        return [command, "--check", draw(st.sampled_from(
+            ["hermite", "limit-kraw", "transform", "green-limit",
+             "field-transform"])), "--q", str(q), "--alpha", alpha, "--mc", n]
+    if command == "verify":
+        return [command, "--q", str(q), "--d", str(d)]
+    argv = [command, "--law", json.dumps(law)]
+    if command not in ("eigen", "kappa"):
+        argv += ["--alpha", alpha]
+    zeros = ",".join(["0"] * d)
+    if command == "green":
+        argv += ["--row", zeros]
+    elif command == "mc-green":
+        argv += ["--x0", zeros, "--n", n, "--seed", "0", "--threads", "2"]
+    elif command == "sample-field":
+        argv += ["-n", n, "--seed", "0", "--out", os.devnull]
+    elif command == "kappa":
+        argv += ["--l", ",".join(["1"] * (q - 1)) if q <= 16 else "1"]
+    elif command == "hamiltonian":
+        argv += ["--seed", "0", "--n-vectors", n]
+    elif command in ("partition", "potts"):
+        argv += ["--beta", "0.3"]
+    if command == "potts":
+        argv += ["--n", n, "--threads", "2"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_size_argv())
+def test_fuzz_sizes_past_the_budgets(argv):
+    # the budget checks run before the builds they guard, so a refused
+    # run allocates next to nothing
+    code, err, peak = _traced_main(argv)
+    assert code in (0, 2, 3), err
+    if code == 2:
+        assert peak <= 64 * 2**20, (peak, err)

@@ -266,3 +266,14 @@ def test_single_sample_has_no_standard_error():
         fields.covariance_stderr(np.ones((1, 4)))
     with pytest.raises(lattice.RangeError):
         fields.covariance_stderr(np.ones((0, 4)))
+
+
+def test_sample_field_budgets_every_field_before_the_first_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block was drawn before the entry count")
+
+    monkeypatch.setattr(fields._mc, "run_chunked", refuse)
+    spec = walks.UniformLaw(2, 3).spectrum()
+    with pytest.raises(lattice.RangeError, match="100000000 fields of 8 "
+                       "points: needs 800000000 entries"):
+        fields.sample_field(spec, 0.5, seed=1, n_samples=10**8)

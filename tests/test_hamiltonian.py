@@ -351,3 +351,14 @@ def test_free_energy_expansion_closed_form():
     alt = 2 / beta * math.log(2) \
         + beta / 2 * ((1 - 0.25) * sigma2 - off / 16.0)
     assert abs(ham.free_energy_expansion(pspec) - alt) < 1e-12
+
+
+def test_identity_residuals_count_their_steps_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the kernel was built before the step count")
+
+    monkeypatch.setattr(ham, "transition_kernel", refuse)
+    spec = walks.UniformLaw(2, 3).spectrum()
+    with pytest.raises(lattice.RangeError, match="1000000000 identity checks "
+                       "at 8 points: needs 1062500000 steps"):
+        ham.identity_residuals(spec, 0.5, np.random.default_rng(0), 10**9)

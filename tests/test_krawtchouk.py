@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,3 +321,39 @@ def test_new_law_is_one_class():
     p2 = np.linalg.matrix_power(walks.transition_matrix(law.spectrum()), 2)
     assert np.max(np.abs(kernel - kw.lump_by_type(p2, q, d))) < 1e-9
     assert hamiltonian.grouping_identity_residual(law, 0.6) < 1e-10
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_dp_box_is_budgeted_before_it_is_allocated():
+    # |l| <= 3 on each of 15 axes: a 4^15-entry complex box, 16 GiB
+    degrees = [tuple(3 * (j == k) for j in range(15)) for k in range(15)]
+
+    def refused():
+        with pytest.raises(lattice.RangeError, match="Krawtchouk DP at q=16"):
+            kw.krawtchouk_values((0, 3) + (0,) * 14, degrees, 16)
+
+    assert _traced_peak(refused) < 2**20
+
+
+def test_degree_indices_are_budgeted_before_they_are_enumerated():
+    assert kw.degree_indices(3, 2) == [(0, 0), (0, 1), (0, 2), (1, 0),
+                                       (1, 1), (2, 0)]
+    assert kw.degree_indices(4, 5, 1) == [(0, 0, 0), (0, 0, 1), (0, 1, 0),
+                                          (1, 0, 0)]
+
+    # C(403, 4), about 1.1e9, degree indices at q = 400
+    def refused():
+        with pytest.raises(lattice.RangeError,
+                           match="1082740100 count vectors at q=400"):
+            kw.degree_indices(400, 5, 4)
+
+    assert _traced_peak(refused) < 2**20

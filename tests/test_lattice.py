@@ -263,3 +263,35 @@ def test_axis_tensor_little_endian():
     out = lattice.axis_tensor([v0, v1])
     # rank = x0 + 2*x1
     assert np.allclose(out, [1.0, 2.0, 10.0, 20.0])
+
+
+def test_budget_names_what_the_amount_and_the_budget():
+    entries, steps = lattice.ENTRY_BUDGET, lattice.STEP_BUDGET
+    lattice.budget("at the budgets", entries=entries, steps=steps)
+    with pytest.raises(lattice.RangeError) as err:
+        lattice.budget("a build", entries=entries + 1)
+    assert str(err.value) == (f"a build: needs {entries + 1} entries, over "
+                              f"the entry budget of {entries}")
+    # one step per loop iteration and per 2^10 entries touched
+    lattice.budget("a loop", steps=steps - 2, touched=2 * 2**10)
+    with pytest.raises(lattice.RangeError) as err:
+        lattice.budget("a loop", steps=steps - 2, touched=2 * 2**10 + 1)
+    assert str(err.value) == (f"a loop: needs {steps + 1} steps, over the "
+                              f"step budget of {steps}")
+    with pytest.raises(lattice.RangeError, match="needs more than 2\\^64 entries"):
+        lattice.budget("a build", entries=2**64)
+    assert lattice.MATERIAL_LIMIT**2 == entries
+
+
+def test_size_refuses_a_lattice_over_the_budget_before_forming_it():
+    assert lattice.size(2, 24) == lattice.ENTRY_BUDGET
+    with pytest.raises(lattice.RangeError,
+                       match="the 2\\^40-point lattice: needs 1099511627776 "):
+        lattice.size(2, 40)
+    # 3^(10^12) is never formed: the message bounds it instead
+    with pytest.raises(lattice.RangeError, match="more than 2\\^64 entries"):
+        lattice.size(3, 10**12)
+    with pytest.raises(lattice.RangeError, match="state table"):
+        lattice.all_states(2, 24)
+    with pytest.raises(lattice.RangeError, match="tensor product"):
+        lattice.axis_tensor([np.ones(2**12)] * 3)

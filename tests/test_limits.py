@@ -381,3 +381,15 @@ def test_transform_field_cov_rejects_complex_atoms():
     spec = pp.PointProcessSpec(0.5, [atom], 1.0)
     with pytest.raises(walks.ContractError):
         limits.transform_field_cov_closed(np.zeros(3), np.zeros(3), spec)
+
+
+def test_closed_transform_route_counts_its_compositions_up_front(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("compositions enumerated before the count")
+
+    monkeypatch.setattr(limits, "count_vectors", refuse)
+    spec = pp.lazy_spec(3, 0.99, [0.2, 0.4])
+    omega, psi = np.array([0.0, 0.3, 0.0]), np.array([0.0, 0.5, 0.0])
+    with pytest.raises(lattice.RangeError, match="closed transform-field "
+                       "route at alpha=0.99: needs 7592932 steps"):
+        limits.transform_field_cov_closed(omega, psi, spec)

@@ -122,3 +122,17 @@ def test_point_process_estimates_are_thread_invariant():
         spec, (1, 1), SPAN, seed=11, workers=w))
     _same_for_every_worker_count(lambda w: pp.log_laplace_mc(
         spec, [0.7, 0.3], SPAN, seed=12, workers=w))
+
+
+def test_block_zero_sizes_the_whole_run_before_any_other_block():
+    drawn = []
+
+    def draw(rng, m):
+        drawn.append(m)
+        return np.zeros((m, 2))
+
+    total = lattice.ENTRY_BUDGET // 2 + 1  # one row past the entry budget
+    with pytest.raises(lattice.RangeError, match=f"{total} Monte-Carlo draws: "
+                       f"needs {2 * total} entries"):
+        _mc.run_chunked(total, 0, 2, draw)
+    assert drawn == [_mc.BLOCK]

@@ -420,3 +420,24 @@ def test_mixing_measure_reproduces_spectrum(law):
 def test_mixing_measure_refused_without_de_finetti_form(law):
     with pytest.raises(walks.ContractError):
         law.mixing_measure()
+
+
+def test_killed_walks_refuse_their_steps_before_the_first_draw(monkeypatch):
+    law = walks.lazy_walk(2, 3, [0.5])
+
+    def refuse(*args):
+        raise AssertionError("a walk was drawn before the step count")
+
+    monkeypatch.setattr(law, "sample", refuse)
+    # 10 walks of mean horizon 1e9 steps each
+    with pytest.raises(lattice.RangeError, match="10 killed walks at "
+                       "alpha=0.999999999: needs 1029296904 steps"):
+        walks.simulate_killed(law, (0, 0, 0), walks.KillingLaw(0.999999999),
+                              seed=1, n_walks=10)
+
+
+def test_killing_horizon_is_budgeted_up_front(monkeypatch):
+    kill = walks.KillingLaw(1.0 - 1e-9)
+    monkeypatch.setattr(walks.KillingLaw, "pmf", lambda self, t: 1 / 0)
+    with pytest.raises(lattice.RangeError, match="killing horizon"):
+        kill.truncation_horizon()
