@@ -1,11 +1,11 @@
 """Spectral random walks on {0,..,q-1}^d and the Gaussian fields they drive.
 
-Submodules
-----------
-lattice       index arithmetic, roots of unity, unitary FFT-backed DFT
+Submodules, in layer order (each imports only from earlier ones)
+-----------------------------------------------------------------
+lattice       index arithmetic, type classes, unitary DFT, size budget
 walks         increment laws, eigenvalues, kernels, killed simulation
-green         killed-walk Green operators, resolvent, torus truncations
 krawtchouk    multivariate Krawtchouk polynomials and the count chain
+green         killed-walk Green operators, resolvent, torus truncations
 pointprocess  killed transform point processes and moment identities
 fields        Gaussian fields with Green covariance, count/torus fields
 limits        d -> infinity layer: limit polynomials, transforms, densities

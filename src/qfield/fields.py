@@ -24,11 +24,12 @@ import numpy as np
 
 from . import _mc
 from .green import WrappedLaw, frequency_box, green_eigenvalues
-from .lattice import RangeError, all_states, budget, dft, size
+from .krawtchouk import kappa_getter, table
+from .lattice import NumericalError, RangeError, all_states, budget, dft, size
 from .walks import Spectrum
 
 
-class ReversibilityError(ValueError):
+class ReversibilityError(NumericalError):
     """Field construction requires real walk eigenvalues."""
 
 
@@ -97,8 +98,6 @@ def sample_count_field(kappas, q: int, d: int, alpha: float, seed: int,
     Covariance is the grouped Green display; the l = 0 term contributes
     the constant q^(-d/2) g_{l0}.  Requires real grouped eigenvalues.
     """
-    from .krawtchouk import kappa_getter, table
-
     tab = table(q, d)
     get = kappa_getter(kappas)
     kap = np.array([complex(get(l)) for l in tab.degrees])

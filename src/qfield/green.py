@@ -30,6 +30,8 @@ from .lattice import (
     rank,
     size,
 )
+from .krawtchouk import (degree_indices, kappa_getter, krawtchouk_values,
+                         scale_constant_inv)
 from .walks import IncrementLaw, KillingLaw, Spectrum, simulate_killed
 
 
@@ -82,8 +84,6 @@ def green_grouped(kappas, q: int, d: int, alpha: float, m, n) -> float:
     the average of (1-alpha) G(x, y) over y in the type class of n for
     any x with counts m (pointwise equal when the class is a singleton).
     """
-    from .krawtchouk import degree_indices, scale_constant_inv
-
     return float(grouped_sum(kappas, alpha, q, d, m, n, degree_indices(q, d),
                             lambda l: 1.0 / scale_constant_inv(l, d)) / q**d)
 
@@ -92,8 +92,6 @@ def grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees,
                 h) -> float:
     """Re sum_l h(l) lambda_l Q_l(m) conj(Q_l(n)) over ``degrees``; the
     count vectors m, n must sum to d."""
-    from .krawtchouk import kappa_getter, krawtchouk_values
-
     if sum(int(v) for v in m) != d or sum(int(v) for v in n) != d:
         raise RangeError(f"count vectors must sum to d = {d}")
     get = kappa_getter(kappas)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .fields import FieldSample, ReversibilityError
 from .green import green_eigenvalues, green_exact
+from .krawtchouk import degree_indices, kappa_from_law, scale_constant_inv
 from .lattice import RangeError, budget, circulant_from_kernel, dft, size
 from .walks import (ContractError, Spectrum, transition_kernel,
                     transition_matrix)
@@ -160,8 +161,6 @@ def grouping_identity_residual(law, alpha: float) -> float:
     Exact for exchangeable laws: kappa_l repeats h_l^-1 times among the
     rho_r.
     """
-    from .krawtchouk import degree_indices, kappa_from_law, scale_constant_inv
-
     n = size(law.q, law.d)
     ungrouped = 0.5 * log_z_density_gap(law.spectrum(), alpha)
     grouped = 0.0

@@ -17,6 +17,10 @@ in one of two ways: route A sums h_l P(m) Q_l(m) over the law's
 xi[k]^l[k]) over its ``mixing_measure()``.  The t-step count kernel is
 
     p(n; d) * (1 + sum_{0<|l|<=d} kappa_l^t h_l Q_l(m) conj(Q_l(n))).
+
+Count vectors m and p(m; d) are the lattice's type classes
+(``lattice.count_vectors``, ``lattice.multinomial_pmf``); the layer below,
+``walks``, names nothing from this module.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import RangeError, all_states, budget, roots
-from .walks import (ContractError, IncrementLaw, _check_degree, xi_powers,
-                    xi_transform)
+from .lattice import (NumericalError, RangeError, all_states, budget,
+                      count_vectors, multinomial_pmf, roots)
+from .walks import (AtomicMeasure, ContractError, IncrementLaw, _check_degree,
+                    xi_powers, xi_transform)
 
 
-class KappaError(ValueError):
+class KappaError(NumericalError):
     """Grouped eigenvalues do not define a transition kernel."""
 
 
@@ -41,23 +46,6 @@ def degree_indices(q: int, d: int, max_total: int | None = None) -> list[tuple[i
     cap = d if max_total is None else min(max_total, d)
     # l followed by the slack cap - |l| is a count vector over q types
     return [m[:-1] for m in count_vectors(q, cap)]
-
-
-def count_vectors(q: int, d: int) -> list[tuple[int, ...]]:
-    """All m in N^q with |m| = d, lex order."""
-    n = math.comb(max(d + q - 1, 0), q - 1)
-    budget(f"{n} count vectors at q={q}, d={d}", entries=n * q, steps=n)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], d, q)
-    return out
 
 
 def _check_counts(m, q: int) -> np.ndarray:
@@ -128,13 +116,7 @@ def scale_constant_inv(l, d: int) -> int:
     s = sum(int(v) for v in l)
     if s > d:
         raise RangeError(f"|l| = {s} exceeds d = {d}")
-    num = 1
-    for i in range(s):
-        num *= d - i
-    den = 1
-    for v in l:
-        den *= math.factorial(int(v))
-    return num // den
+    return math.perm(d, s) // math.prod(math.factorial(int(v)) for v in l)
 
 
 def log_scale_constant_inv(l, d: int) -> float:
@@ -144,12 +126,6 @@ def log_scale_constant_inv(l, d: int) -> float:
     for v in l:
         out -= math.lgamma(int(v) + 1)
     return out
-
-
-def multinomial_pmf(m, d: int, q: int) -> float:
-    """Uniform multinomial mass p(m; d) = (d choose m) q^-d."""
-    logc = math.lgamma(d + 1) - sum(math.lgamma(int(v) + 1) for v in m)
-    return math.exp(logc - d * math.log(q))
 
 
 @dataclass
@@ -299,6 +275,33 @@ def count_chain_kernel(kappas, q: int, d: int, t: int,
     if np.max(np.abs(rows - 1.0)) > 1e-9:
         raise KappaError("count kernel rows do not sum to 1")
     return np.clip(kernel, 0.0, None), tab.counts
+
+
+def ct_grouped_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int,
+                           degree_indices=None) -> dict[tuple[int, ...], complex]:
+    """Count-chain semigroup eigenvalues per degree index l.
+
+    exponent_l = tau * sum_atoms w * (h_l Q_l(zeta) - 1)/(d - zeta[0]) over
+    count-vector atoms zeta with |zeta| = d.  An atom at zeta[0] = d has
+    h_l Q_l = 1 for every l, so it contributes nothing and the chain is
+    unmoved by it.
+    """
+    if tau < 0:
+        raise RangeError(f"tau must be >= 0, got {tau}")
+    if degree_indices is None:  # the keyword shadows the module function
+        degree_indices = [m[:-1] for m in count_vectors(q, d)]
+    degrees = [_check_degree(l, q) for l in degree_indices]
+    h_inv = np.array([scale_constant_inv(l, d) for l in degrees], dtype=float)
+    atoms = np.atleast_2d(measure.points).astype(np.int64)
+    if atoms.shape[1] != q or np.any(atoms.sum(axis=1) != d):
+        raise RangeError("atoms must be count vectors over q types summing to d")
+    acc = np.zeros(len(degrees), dtype=complex)
+    for zeta, w in zip(atoms, measure.weights):
+        moving = d - int(zeta[0])
+        if moving == 0:
+            continue  # h_l Q_l((d,0,..)) = 1 exactly: inert atom
+        acc += w * (krawtchouk_values(zeta, degrees, q) / h_inv - 1.0) / moving
+    return {l: complex(np.exp(tau * a)) for l, a in zip(degrees, acc)}
 
 
 def state_type_counts(q: int, d: int) -> tuple[list[tuple[int, ...]], np.ndarray]:

@@ -22,6 +22,11 @@ length-2 row; it needs only whole-array adds, subtracts and multiplies.
 Either way the result equals ``np.fft.fftn`` over the d lattice axes bit
 for bit.  A naive O(q^{2d}) double-sum path is kept as a test oracle.
 
+The type classes of points (count vectors m, m[j] coordinates equal to
+j) are listed by :func:`count_vectors`, weighted by :func:`multinomial_pmf`.
+Errors form two families: :class:`RangeError` is bad input (CLI exit 2),
+:class:`NumericalError` a failed numerical contract (exit 3).
+
 Every call stays inside one size budget: :func:`budget` refuses, before
 anything is built, more than ``ENTRY_BUDGET`` = 2^24 array entries (128 MB
 of float64) or more than ``STEP_BUDGET`` = 2^20 steps, one step being one
@@ -41,12 +46,16 @@ STEP_BUDGET = 2**20
 MATERIAL_LIMIT = math.isqrt(ENTRY_BUDGET)
 
 
-class ShapeError(ValueError):
+class RangeError(ValueError):
+    """Index or parameter outside its permitted range."""
+
+
+class ShapeError(RangeError):
     """Array length does not match q**d."""
 
 
-class RangeError(ValueError):
-    """Index or parameter outside its permitted range."""
+class NumericalError(ValueError):
+    """A numerical contract fails on valid input; base of the modules' own."""
 
 
 def budget(what: str, entries: int = 0, steps: int = 0, touched: int = 0) -> None:
@@ -97,11 +106,7 @@ def unrank(i: int, q: int, d: int) -> tuple[int, ...]:
     n = size(q, d)
     if not 0 <= i < n:
         raise RangeError(f"rank {i} outside [0, {n})")
-    out = []
-    for _ in range(d):
-        i, digit = divmod(i, q)
-        out.append(digit)
-    return tuple(out)
+    return tuple(i // q**k % q for k in range(d))
 
 
 def all_states(q: int, d: int) -> np.ndarray:
@@ -110,6 +115,28 @@ def all_states(q: int, d: int) -> np.ndarray:
     budget(f"the ({n}, {d}) state table", entries=n * d)
     i = np.arange(n, dtype=np.int64)[:, None]
     return (i // q ** np.arange(d, dtype=np.int64)[None, :]) % q
+
+
+def count_vectors(q: int, d: int) -> list[tuple[int, ...]]:
+    """All m in N^q with |m| = d, lex order: the lattice's type classes."""
+    n = math.comb(max(d + q - 1, 0), q - 1)
+    budget(f"{n} count vectors at q={q}, d={d}", entries=n * q, steps=n)
+    # an odometer: the next vector moves one unit from the last nonzero
+    # entry j >= 1 into entry j - 1 and the rest of entry j to the end
+    m = [0] * (q - 1) + [d]
+    out = [tuple(m)] if n else []
+    j = q - 1
+    for _ in range(n - 1):
+        m[j - 1], m[j], m[-1] = m[j - 1] + 1, 0, m[j] - 1
+        j = q - 1 if m[-1] else j - 1
+        out.append(tuple(m))
+    return out
+
+
+def multinomial_pmf(m, d: int, q: int) -> float:
+    """p(m; d) = (d choose m) q^-d, the share of the lattice in class m."""
+    logc = math.lgamma(d + 1) - sum(math.lgamma(int(v) + 1) for v in m)
+    return math.exp(logc - d * math.log(q))
 
 
 def roots(q: int) -> np.ndarray:

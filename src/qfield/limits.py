@@ -18,15 +18,16 @@ Hermite-product expansion (route B).
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from . import _mc
 from .green import grouped_sum
-from .krawtchouk import (count_vectors, degree_indices, kappa_getter,
-                         krawtchouk_values, log_scale_constant_inv)
-from .lattice import RangeError, budget, roots
+from .krawtchouk import (degree_indices, kappa_getter, krawtchouk_values,
+                         log_scale_constant_inv)
+from .lattice import RangeError, budget, count_vectors, multinomial_pmf, roots
 from .pointprocess import PointProcessSpec, y_moment
 from .walks import ContractError
 
@@ -244,8 +245,6 @@ def limit_green_density(m_plus, n_plus, lambda_of_l, q: int,
     reproducing kernel and diverges as L grows; the truncated value is
     still returned, with a warning flagging the delta-type limit.
     """
-    import warnings
-
     m_full = full_type_vector(m_plus, q)
     n_full = full_type_vector(n_plus, q)
     get = kappa_getter(lambda_of_l)
@@ -279,8 +278,6 @@ def scaled_green_finite_d(kappa_of_l, alpha: float, q: int, d: int, m, n,
     h_l Q_l(m) conj(Q_l(n)) scales to (prod l!) Q_l conj(Q_l) at infinity.
     Count vectors m, n must sum to d.
     """
-    from .krawtchouk import multinomial_pmf
-
     acc = grouped_sum(kappa_of_l, alpha, q, d, m, n,
                      degree_indices(q, d, max_degree),
                      lambda l: math.exp(-log_scale_constant_inv(l, d)))

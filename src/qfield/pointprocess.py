@@ -28,7 +28,8 @@ import numpy as np
 from . import _mc
 from .lattice import RangeError
 from .walks import (IncrementLaw, KillingLaw, _check_degree, _check_pmf,
-                    pmf_from_xi, xi_powers, xi_transform)
+                    _draw_categorical, lazy_walk, pmf_from_xi, xi_powers,
+                    xi_transform)
 
 
 @dataclass
@@ -73,8 +74,8 @@ class PointProcessSpec:
         """(n_atoms, q) transform values."""
         return np.stack([a.xi for a in self.atoms])
 
-    def killing(self, phi: float | None = None) -> KillingLaw:
-        return KillingLaw(self.alpha, self.phi if phi is None else phi)
+    def killing(self) -> KillingLaw:
+        return KillingLaw(self.alpha, self.phi)
 
 
 def spec_from_mixture(law: IncrementLaw, alpha: float,
@@ -87,8 +88,6 @@ def spec_from_mixture(law: IncrementLaw, alpha: float,
 
 def lazy_spec(q: int, alpha: float, gammas, weights=None,
               phi: float = 1.0) -> PointProcessSpec:
-    from .walks import lazy_walk
-
     return spec_from_mixture(lazy_walk(q, 1, gammas, weights), alpha, phi)
 
 
@@ -119,11 +118,18 @@ def half_process_residual(spec: PointProcessSpec, l) -> float:
     return float(abs(y_moment(half, l) ** 2 - y_moment(full, l)))
 
 
-def _horizon_atom_counts(spec: PointProcessSpec, rng, m: int,
-                         phi: float) -> np.ndarray:
-    """(m, n_atoms) multinomial split of each walk's horizon over atoms."""
-    horizons = spec.killing(phi).sample(rng, m)
-    return rng.multinomial(horizons, spec.weights())
+def _horizon_product_mc(spec: PointProcessSpec, factors: np.ndarray,
+                        n_samples: int, seed: int,
+                        workers: int) -> tuple[complex, float]:
+    """Mean and standard error of prod_atoms factors[a]^counts[a] over the
+    walks, counts being the multinomial split of each walk's horizon over
+    the atoms: an atom enters only through its per-epoch factor."""
+    def draw(rng, m):
+        horizons = spec.killing().sample(rng, m)
+        counts = rng.multinomial(horizons, spec.weights())
+        return np.prod(factors[None, :] ** counts, axis=1)
+
+    return _mc.mean_and_stderr(_mc.run_chunked(n_samples, seed, workers, draw))
 
 
 def y_moment_mc(spec: PointProcessSpec, l, n_samples: int, seed: int,
@@ -131,16 +137,10 @@ def y_moment_mc(spec: PointProcessSpec, l, n_samples: int, seed: int,
     """Monte-Carlo estimate of the mixed moment from transform products.
 
     Returns (estimate, standard error).  Each walk multiplies
-    prod_k xi_b[k]^l[k] over its horizon; atoms enter only through their
-    per-epoch factor, so the horizon splits multinomially.
+    prod_k xi_b[k]^l[k] over its horizon.
     """
-    factors = xi_powers(spec.xi_matrix(), l)
-
-    def draw(rng, m):
-        counts = _horizon_atom_counts(spec, rng, m, spec.phi)
-        return np.prod(factors[None, :] ** counts, axis=1)
-
-    return _mc.mean_and_stderr(_mc.run_chunked(n_samples, seed, workers, draw))
+    return _horizon_product_mc(spec, xi_powers(spec.xi_matrix(), l),
+                               n_samples, seed, workers)
 
 
 def y_moment_mc_points(spec: PointProcessSpec, l, n_samples: int, seed: int,
@@ -168,15 +168,14 @@ def y_moment_mc_points(spec: PointProcessSpec, l, n_samples: int, seed: int,
                            if l[k] > r])
 
     def draw(rng, m):
-        horizons = spec.killing(spec.phi).sample(rng, m)
+        horizons = spec.killing().sample(rng, m)
         total_epochs = int(horizons.sum())
-        atom_ids = rng.choice(len(spec.atoms), size=total_epochs,
-                              p=spec.weights())
+        atom_ids = _draw_categorical(rng, spec.weights(), total_epochs)
         draws = np.empty((total_epochs, width), dtype=np.int64)
         for a, atom in enumerate(spec.atoms):
             idx = np.nonzero(atom_ids == a)[0]
             if idx.size:
-                draws[idx] = rng.choice(q, size=(idx.size, width), p=atom.pmf)
+                draws[idx] = _draw_categorical(rng, atom.pmf, (idx.size, width))
         phase = (draws * labels[None, :]).sum(axis=1) % q
         epoch_factors = np.exp(2j * np.pi * phase / q)
         # per-walk product over its run of epochs
@@ -215,12 +214,6 @@ def log_laplace(spec: PointProcessSpec, varphi) -> float:
 def log_laplace_mc(spec: PointProcessSpec, varphi, n_samples: int, seed: int,
                    workers: int = 1) -> tuple[float, float]:
     """Monte-Carlo companion of :func:`log_laplace`."""
-    factors = _laplace_factors(spec, varphi)
-
-    def draw(rng, m):
-        counts = _horizon_atom_counts(spec, rng, m, spec.phi)
-        return np.prod(factors[None, :] ** counts, axis=1)
-
-    mean, se = _mc.mean_and_stderr(
-        _mc.run_chunked(n_samples, seed, workers, draw))
+    mean, se = _horizon_product_mc(spec, _laplace_factors(spec, varphi),
+                                   n_samples, seed, workers)
     return float(mean.real), se

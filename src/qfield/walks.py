@@ -24,9 +24,10 @@ the entries of V are i.i.d. pmfs[i] given component i, and route B
 integrates ``xi_powers`` over it.  ``count_law()`` is the law of the type
 counts of V; the base class builds it as the multinomial mixture of the
 mixing measure, the sparse law convolves its c special slots with the
-uniform rest, and route A averages h_l Q_l over it.  A law with no
-mixing measure raises ContractError from ``mixing_measure``, and from
-``count_law`` unless it overrides it.
+uniform rest (count vectors from ``lattice``), and route A, in the layer
+above, averages h_l Q_l over it.  A law with no mixing measure raises
+ContractError from ``mixing_measure``, and from ``count_law`` unless it
+overrides it.
 
 ``lazy_walk`` builds the canonical symmetric test family: hold with
 probability 1-gamma, step +-1 otherwise, gamma mixed over finitely many
@@ -45,8 +46,9 @@ from itertools import combinations
 import numpy as np
 
 from . import _mc
-from .lattice import (RangeError, all_states, axis_tensor, budget,
-                      circulant_from_kernel, dft, point, rank, size)
+from .lattice import (NumericalError, RangeError, all_states, axis_tensor,
+                      budget, circulant_from_kernel, count_vectors, dft,
+                      multinomial_pmf, point, rank, size)
 
 PMF_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -54,11 +56,11 @@ CLAMP_TOL = 1e-12
 KERNEL_TOL = 1e-8
 
 
-class KernelError(ValueError):
+class KernelError(NumericalError):
     """Reconstructed kernel is not a transition matrix."""
 
 
-class ContractError(ValueError):
+class ContractError(NumericalError):
     """Operation called outside its contract (e.g. needs exchangeability)."""
 
 
@@ -174,8 +176,6 @@ class IncrementLaw:
         The multinomial mixture of :meth:`mixing_measure`, so it raises
         ContractError where that does.
         """
-        from .krawtchouk import count_vectors
-
         weights, pmfs = self.mixing_measure()
         counts = np.array(count_vectors(self.q, self.d))
         log_coef = np.array([math.lgamma(self.d + 1)
@@ -390,7 +390,8 @@ class SparseExchangeableLaw(IncrementLaw):
         # rho lives on the r with n <= c nonzero entries: for each n, the
         # nonzero positions (rows) times their values in order (columns)
         for n in range(self.c + 1):
-            positions = np.array(_subsets(self.d, n), dtype=np.int64)
+            positions = np.array(list(combinations(range(self.d), n)),
+                                 dtype=np.int64)
             values = 1 + np.indices((self.q - 1,) * n, dtype=np.int64
                                     ).reshape(n, (self.q - 1) ** n)
             ranks = self.q ** positions @ values
@@ -410,9 +411,8 @@ class SparseExchangeableLaw(IncrementLaw):
         states = all_states(self.q, self.d)
         strides = self.q ** np.arange(self.c, dtype=np.int64)
         out = np.zeros(size(self.q, self.d))
-        subsets = _subsets(self.d, self.c)
         u_base = 1.0 / (math.comb(self.d, self.c) * self.q ** (self.d - self.c))
-        for sub in subsets:
+        for sub in combinations(range(self.d), self.c):
             u = states[:, sub] @ strides
             out += u_base * self.joint[u]
         return out
@@ -422,8 +422,6 @@ class SparseExchangeableLaw(IncrementLaw):
 
     def count_law(self):
         """Counts over the c special slots plus multinomial uniform rest."""
-        from .krawtchouk import count_vectors, multinomial_pmf
-
         rest = [(np.array(mu), multinomial_pmf(mu, self.d - self.c, self.q))
                 for mu in count_vectors(self.q, self.d - self.c)]
         out: dict[tuple[int, ...], float] = {}
@@ -439,10 +437,6 @@ class SparseExchangeableLaw(IncrementLaw):
     def to_json(self):
         return {"variant": "sparse_exchangeable", "q": self.q, "d": self.d,
                 "c": self.c, "joint_pmf": self.joint.tolist()}
-
-
-def _subsets(d: int, c: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(d), c))
 
 
 def lazy_walk(q: int, d: int, gammas, weights=None) -> DeFinettiMixtureLaw:
@@ -690,36 +684,6 @@ def ct_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int) -> Spectr
         vecs = [np.exp(2j * np.pi * x * np.arange(q)) for x in xi]
         exponent += (w / s) * (axis_tensor(vecs) - 1.0)
     return Spectrum(np.exp(tau * exponent), q, d)
-
-
-def ct_grouped_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int,
-                           degree_indices=None) -> dict[tuple[int, ...], complex]:
-    """Count-chain semigroup eigenvalues per degree index l.
-
-    exponent_l = tau * sum_atoms w * (h_l Q_l(zeta) - 1)/(d - zeta[0]) over
-    count-vector atoms zeta with |zeta| = d.  An atom at zeta[0] = d has
-    h_l Q_l = 1 for every l, so it contributes nothing and the chain is
-    unmoved by it.
-    """
-    from .krawtchouk import degree_indices as _degree_indices
-    from .krawtchouk import krawtchouk_values, scale_constant_inv
-
-    if tau < 0:
-        raise RangeError(f"tau must be >= 0, got {tau}")
-    if degree_indices is None:
-        degree_indices = _degree_indices(q, d)
-    degrees = [_check_degree(l, q) for l in degree_indices]
-    h_inv = np.array([scale_constant_inv(l, d) for l in degrees], dtype=float)
-    atoms = np.atleast_2d(measure.points).astype(np.int64)
-    if atoms.shape[1] != q or np.any(atoms.sum(axis=1) != d):
-        raise RangeError("atoms must be count vectors over q types summing to d")
-    acc = np.zeros(len(degrees), dtype=complex)
-    for zeta, w in zip(atoms, measure.weights):
-        moving = d - int(zeta[0])
-        if moving == 0:
-            continue  # h_l Q_l((d,0,..)) = 1 exactly: inert atom
-        acc += w * (krawtchouk_values(zeta, degrees, q) / h_inv - 1.0) / moving
-    return {l: complex(np.exp(tau * a)) for l, a in zip(degrees, acc)}
 
 
 BUILTIN_FAMILIES = ("uniform", "deterministic", "product_iid",

@@ -102,6 +102,28 @@ def test_csv_bytes_equal_per_cell_repr(tmp_path, name):
     assert out.read_bytes() == _csv_reference(rows, "g")
 
 
+@pytest.mark.parametrize("name", ["complex row", "real row", "strided"])
+def test_json_lists_hold_the_floats_of_the_array(name):
+    rows = _csv_cases()[name]
+    want = [[float(np.real(v)), float(np.imag(v))] for v in rows.ravel()] \
+        if np.iscomplexobj(rows) else [float(v) for v in rows.ravel()]
+    got = cli._json_list("rows", rows.ravel())
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_json_lists_are_budgeted_before_they_are_built():
+    values = np.zeros(2**20, dtype=complex)  # 2^21 floats
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.RangeError, match="2097152 JSON floats of "
+                           "the spectrum: needs 58720256 entries"):
+            cli._json_list("the spectrum", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_partition_worked_value():
     doc = run_json("partition", "--law", SWAP_LAW, "--alpha", "0.5",
                    "--beta", "6.2831853")
@@ -691,6 +713,8 @@ def test_verify_refuses_a_dense_p_over_budget_before_any_check(monkeypatch):
 
 UNIFORM_2_40 = json.dumps({"variant": "uniform", "q": 2, "d": 40})
 UNIFORM_2_3 = json.dumps({"variant": "uniform", "q": 2, "d": 3})
+# inside the lattice budget, but its JSON result lists are not
+UNIFORM_2_20 = json.dumps({"variant": "uniform", "q": 2, "d": 20})
 ZEROS_40 = ",".join(["0"] * 40)
 HALF_SPEC = json.dumps({"alpha": 0.5,
                         "atoms": [{"pmf": [0.5, 0.5], "weight": 1.0}]})
@@ -723,6 +747,11 @@ OVER_BUDGET = {
     "verify-2^13": ["verify", "--q", "2", "--d", "13"],
     "limit-kraw-16": ["limit", "--check", "limit-kraw", "--q", "16"],
     "limit-kraw-400": ["limit", "--check", "limit-kraw", "--q", "400"],
+    "eigen-2^20": ["eigen", "--law", UNIFORM_2_20],
+    "green-row-2^20": ["green", "--law", UNIFORM_2_20, "--alpha", "0.5",
+                       "--row", ",".join(["0"] * 20)],
+    # 4096 count vectors of 4096 types: no recursion per type
+    "verify-4096-1": ["verify", "--q", "4096", "--d", "1"],
 }
 
 

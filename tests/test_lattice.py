@@ -6,6 +6,30 @@ from hypothesis import strategies as st
 from qfield import lattice
 
 
+def _count_vectors_by_recursion(q, d):
+    """All m in N^q with |m| = d in lex order: each is a vector with
+    |m| = d - 1 plus one unit in some entry."""
+    if d == 0:
+        return [(0,) * q]
+    return sorted({m[:j] + (m[j] + 1,) + m[j + 1:]
+                   for m in _count_vectors_by_recursion(q, d - 1)
+                   for j in range(q)})
+
+
+@pytest.mark.parametrize("q,d", [(2, 0), (2, 12), (3, 7), (4, 6), (7, 4),
+                                 (200, 2)])
+def test_count_vectors_equal_the_recursive_enumeration(q, d):
+    got = lattice.count_vectors(q, d)
+    assert got == _count_vectors_by_recursion(q, d)
+    assert all(type(v) is int for m in got for v in m)
+
+
+def test_count_vectors_need_no_recursion_past_the_type_count():
+    # one recursion level per type would pass Python's limit here
+    got = lattice.count_vectors(4096, 1)
+    assert len(got) == 4096 and got[0][-1] == 1 and got[-1][0] == 1
+
+
 def test_rank_examples():
     assert lattice.rank((0, 0), 3) == 0
     assert lattice.rank((1, 2), 3) == 7  # 1 + 2*3, little-endian

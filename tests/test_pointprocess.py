@@ -93,6 +93,30 @@ def test_partition_samplers_match_closed_form(scheme):
     assert abs(est - pp.y_moment(spec, l)) <= 4 * se
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_categorical_draws_equal_rng_choice(seed):
+    # the sampler every law and the lattice-draw moment estimator use gives
+    # the indices rng.choice gives, from the same uniforms, size 0 included
+    spec = pp.lazy_spec(3, 0.5, [0.2, 0.5], [0.4, 0.6])
+    for p, shape in ((spec.weights(), 0), (spec.weights(), 17),
+                     (spec.atoms[1].pmf, (0, 3)), (spec.atoms[1].pmf, (9, 3))):
+        rng_a, rng_b = (np.random.default_rng(seed) for _ in range(2))
+        got = walks._draw_categorical(rng_a, p, shape)
+        want = rng_b.choice(len(p), size=shape, p=p)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng_a.random() == rng_b.random()  # as many uniforms consumed
+
+
+@pytest.mark.parametrize("scheme", ["blocks", "interleave"])
+def test_lattice_draw_moments_equal_their_rng_choice_form(monkeypatch, scheme):
+    spec = pp.lazy_spec(3, 0.5, [0.2, 0.5], [0.4, 0.6])
+    got = pp.y_moment_mc_points(spec, (1, 2), 3000, seed=7, scheme=scheme)
+    monkeypatch.setattr(pp, "_draw_categorical", lambda rng, p, shape:
+                        rng.choice(len(p), size=shape, p=p))
+    assert pp.y_moment_mc_points(spec, (1, 2), 3000, seed=7,
+                                 scheme=scheme) == got
+
+
 def test_y_moment_single_entry_matches_green_eigenvalue():
     # l = e_k moments are exactly the grouped Green eigenvalues
     law = walks.lazy_walk(3, 4, [0.2, 0.5])

@@ -358,16 +358,16 @@ def test_unit_rate_embedding_reproduces_discrete_spectrum():
 def test_ct_grouped_eigenvalues():
     zeta = np.array([[3, 0, 0], [1, 2, 0], [2, 0, 1]], dtype=float)
     gamma = walks.AtomicMeasure(zeta, [0.5, 0.3, 0.2])
-    vals = walks.ct_grouped_eigenvalues(gamma, 1.0, 3, 3)
+    vals = kw.ct_grouped_eigenvalues(gamma, 1.0, 3, 3)
     assert abs(vals[(0, 0)] - 1.0) < 1e-14  # l = 0 stays 1
     assert all(abs(v) <= 1 + 1e-12 for v in vals.values())
     # tau = 0: identity semigroup
     assert all(abs(v - 1.0) < 1e-14
-               for v in walks.ct_grouped_eigenvalues(gamma, 0.0, 3, 3).values())
+               for v in kw.ct_grouped_eigenvalues(gamma, 0.0, 3, 3).values())
     # an atom at zeta[0] = d is inert: h_l Q_l((d,0,..)) = 1 for every l
     pure = walks.AtomicMeasure(np.array([[3.0, 0.0, 0.0]]), [2.5])
     assert all(abs(v - 1.0) < 1e-14
-               for v in walks.ct_grouped_eigenvalues(pure, 1.0, 3, 3).values())
+               for v in kw.ct_grouped_eigenvalues(pure, 1.0, 3, 3).values())
 
 
 def test_ct_grouped_eigenvalues_match_per_degree_sum():
@@ -375,8 +375,8 @@ def test_ct_grouped_eigenvalues_match_per_degree_sum():
     zeta = np.array([[4, 0, 0], [1, 2, 1], [2, 0, 2], [0, 3, 1]])
     weights = [0.5, 0.3, 0.2, 0.4]
     degrees = kw.degree_indices(q, d)
-    got = walks.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
-                                       tau, q, d)
+    got = kw.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
+                                    tau, q, d)
     assert list(got) == degrees
     for l in degrees:
         acc = 0.0 + 0.0j
@@ -386,12 +386,12 @@ def test_ct_grouped_eigenvalues_match_per_degree_sum():
                             - 1.0) / (d - z[0])
         assert abs(got[l] - np.exp(tau * acc)) < 1e-13
     sub = [(2, 1), (0, 3)]
-    part = walks.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
-                                        tau, q, d, degree_indices=sub)
+    part = kw.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
+                                     tau, q, d, degree_indices=sub)
     assert part == {l: got[l] for l in sub}
     with pytest.raises(lattice.RangeError):
-        walks.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
-                                     tau, q, d, degree_indices=[(1,)])
+        kw.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
+                                  tau, q, d, degree_indices=[(1,)])
 
 
 def test_xi_transform_round_trip():
