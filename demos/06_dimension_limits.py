@@ -15,7 +15,7 @@ q = 2
 print("== Hermite family scaled to N(0, 1/q) ==")
 print("H_2(0; 2) =", limits.hermite_chebycheff(2, 0.0, 2))
 print("quadrature orthogonality residual:",
-      limits.hermite_orthogonality_residual(q, max_k=8))
+      limits.hermite_orthogonality_residual(q))
 
 print("\n== limit polynomials: series route vs Hermite route ==")
 m = limits.full_type_vector(np.array([0.35]), q)

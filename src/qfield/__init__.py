@@ -2,7 +2,8 @@
 
 Submodules, in layer order (each imports only from earlier ones)
 -----------------------------------------------------------------
-lattice       index arithmetic, type classes, unitary DFT, size budget
+lattice       ranks, digit views, type classes, unitary DFT, size budget
+_mc           seeded Monte Carlo in blocks, whatever the worker count
 walks         increment laws, eigenvalues, kernels, killed simulation
 krawtchouk    multivariate Krawtchouk polynomials and the count chain
 green         killed-walk Green operators, resolvent, torus truncations
@@ -10,6 +11,7 @@ pointprocess  killed transform point processes and moment identities
 fields        Gaussian fields with Green covariance, count/torus fields
 limits        d -> infinity layer: limit polynomials, transforms, densities
 hamiltonian   quadratic forms, partition functions, random-bond spins
+verify        the cross-module invariant suite behind ``qfield verify``
 cli           the ``qfield`` command-line front end
 """
 

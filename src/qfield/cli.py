@@ -178,12 +178,16 @@ def _write_complex_csv(path: str, rows: np.ndarray, prefix: str) -> None:
 JSON_FLOAT_ENTRIES = 28
 
 
+def _json_budget(what: str, floats: int) -> None:
+    """Refuse a JSON result list of ``floats`` floats beyond the budget."""
+    budget(f"{floats} JSON floats of {what}", entries=floats * JSON_FLOAT_ENTRIES)
+
+
 def _json_list(what: str, values) -> list:
     """``values`` as lists for the JSON result, complex ones as [re, im],
     budgeted at JSON_FLOAT_ENTRIES entries per float before they exist."""
     values = np.asarray(values)
-    floats = values.size * (2 if np.iscomplexobj(values) else 1)
-    budget(f"{floats} JSON floats of {what}", entries=floats * JSON_FLOAT_ENTRIES)
+    _json_budget(what, values.size * (2 if np.iscomplexobj(values) else 1))
     if np.iscomplexobj(values):
         values = np.stack([values.real, values.imag], axis=-1)
     return values.tolist()
@@ -228,6 +232,7 @@ def cmd_green(args):
 def cmd_mc_green(args):
     law = _law_from_arg(args.law)
     x0 = _coords(args.x0, law, "$.x0")
+    _json_budget("the endpoint pmf", size(law.q, law.d))  # before any walk
     emp = green.green_mc(law, args.alpha, x0, args.n, args.seed,
                          workers=args.threads)
     exact = green.green_exact(law.spectrum(), args.alpha,
@@ -370,7 +375,7 @@ def cmd_limit(args):
     rng = np.random.default_rng(args.seed)
     q = args.q
     if args.check == "hermite":
-        result = {"max_residual": limits.hermite_orthogonality_residual(q, 8)}
+        result = {"max_residual": limits.hermite_orthogonality_residual(q)}
     elif args.check == "limit-kraw":
         # route B runs a DP of 4 passes, q steps each, over a 5^(q-1) box per
         # degree and point (past q = 65, 5^64 already reads "more than 2^64")

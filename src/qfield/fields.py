@@ -25,7 +25,8 @@ import numpy as np
 from . import _mc
 from .green import WrappedLaw, frequency_box, green_eigenvalues
 from .krawtchouk import kappa_getter, table
-from .lattice import NumericalError, RangeError, all_states, budget, dft, size
+from .lattice import (NumericalError, RangeError, budget, dft, size,
+                      state_type_counts, unrank)
 from .walks import Spectrum
 
 
@@ -112,13 +113,13 @@ def sample_count_field(kappas, q: int, d: int, alpha: float, seed: int,
 
 
 def ranked_classes(q: int, d: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Ranks of r grouped by sorted(r) descending (spin-glass classes)."""
-    states = all_states(q, d)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, r in enumerate(states):
-        key = tuple(sorted(r.tolist(), reverse=True))
-        classes.setdefault(key, []).append(i)
-    return {k: np.array(v) for k, v in classes.items()}
+    """Ranks of r grouped by sorted(r) descending (spin-glass classes): the
+    type classes, keyed by their lowest rank's digits and in its order."""
+    _, classes = state_type_counts(q, d)
+    groups = np.split(np.argsort(classes, kind="stable"),
+                      np.cumsum(np.bincount(classes))[:-1])
+    groups.sort(key=lambda g: g[0])
+    return {unrank(int(g[0]), q, d): g for g in groups}
 
 
 def ranked_class_sum(driver: np.ndarray, x, ranked: tuple[int, ...],
@@ -133,9 +134,8 @@ def ranked_class_sum(driver: np.ndarray, x, ranked: tuple[int, ...],
     if key not in classes:
         raise RangeError(f"no ranked class {ranked!r} at q={q}, d={d}")
     idx = classes[key]
-    states = all_states(q, d)[idx]
     x = np.asarray(x, dtype=np.int64)
-    phases = np.exp(2j * np.pi * (states @ x) / q)
+    phases = np.exp(2j * np.pi * (unrank(idx, q, d) @ x) / q)
     return complex(phases @ np.asarray(driver)[idx])
 
 

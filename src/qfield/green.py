@@ -20,18 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (
-    MATERIAL_LIMIT,
-    RangeError,
-    circulant_from_kernel,
-    circulant_row,
-    dft,
-    point,
-    rank,
-    size,
-)
+from .lattice import (MATERIAL_LIMIT, RangeError, circulant_from_kernel,
+                      circulant_row, dft, point, rank, size)
 from .krawtchouk import (degree_indices, kappa_getter, krawtchouk_values,
-                         scale_constant_inv)
+                         log_scale_constant_inv)
 from .walks import IncrementLaw, KillingLaw, Spectrum, simulate_killed
 
 
@@ -84,14 +76,13 @@ def green_grouped(kappas, q: int, d: int, alpha: float, m, n) -> float:
     the average of (1-alpha) G(x, y) over y in the type class of n for
     any x with counts m (pointwise equal when the class is a singleton).
     """
-    return float(grouped_sum(kappas, alpha, q, d, m, n, degree_indices(q, d),
-                            lambda l: 1.0 / scale_constant_inv(l, d)) / q**d)
+    return float(grouped_sum(kappas, alpha, q, d, m, n, degree_indices(q, d))
+                 / q**d)
 
 
-def grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees,
-                h) -> float:
-    """Re sum_l h(l) lambda_l Q_l(m) conj(Q_l(n)) over ``degrees``; the
-    count vectors m, n must sum to d."""
+def grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees) -> float:
+    """Re sum_l h_l lambda_l Q_l(m) conj(Q_l(n)) over ``degrees``, h_l taken
+    as exp(-log h_l^-1); the count vectors m, n must sum to d."""
     if sum(int(v) for v in m) != d or sum(int(v) for v in n) != d:
         raise RangeError(f"count vectors must sum to d = {d}")
     get = kappa_getter(kappas)
@@ -99,8 +90,9 @@ def grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees,
     q_n = krawtchouk_values(n, degrees, q).tolist()
     acc = 0.0 + 0.0j
     for l, a, b in zip(degrees, q_m, q_n):
+        h_l = math.exp(-log_scale_constant_inv(l, d))
         lam_l = grouped_green_eigenvalue(complex(get(l)), alpha)
-        acc += h(l) * lam_l * a * np.conj(b)
+        acc += h_l * lam_l * a * np.conj(b)
     return acc.real
 
 
@@ -116,9 +108,7 @@ def green_mc(law: IncrementLaw, alpha: float, x0, n_walks: int, seed: int,
     n = size(law.q, law.d)
     endpoints = simulate_killed(law, x0, KillingLaw(alpha), seed,
                                 n_walks=n_walks, workers=workers)
-    offsets = law.q ** np.arange(law.d, dtype=np.int64)
-    ranks = endpoints @ offsets
-    return np.bincount(ranks, minlength=n) / n_walks
+    return np.bincount(rank(endpoints, law.q), minlength=n) / n_walks
 
 
 def tv_distance(p: np.ndarray, q_: np.ndarray) -> float:
@@ -183,16 +173,6 @@ class WrappedLaw:
             out += np.exp(2j * np.pi * freqs @ self.atoms.T) @ self.weights
         out += self.uniform_weight * np.all(freqs == 0, axis=1)
         return out
-
-    def is_symmetric(self) -> bool:
-        """Atoms closed under xi -> -xi mod 1 with equal weights."""
-        neg = (-self.atoms) % 1.0
-        for point, w in zip(neg, self.weights):
-            match = np.all(np.isclose(self.atoms, point[None, :], atol=1e-12),
-                           axis=1)
-            if not np.any(np.abs(self.weights[match] - w) < 1e-12):
-                return False
-        return True
 
 
 def frequency_box(d: int, radius: int, mode: str = "Z") -> np.ndarray:

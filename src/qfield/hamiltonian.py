@@ -25,7 +25,8 @@ import numpy as np
 from .fields import FieldSample, ReversibilityError
 from .green import green_eigenvalues, green_exact
 from .krawtchouk import degree_indices, kappa_from_law, scale_constant_inv
-from .lattice import RangeError, budget, circulant_from_kernel, dft, size
+from .lattice import (RangeError, budget, circulant_from_kernel, dft,
+                      gather_digits, size)
 from .walks import (ContractError, Spectrum, transition_kernel,
                     transition_matrix)
 
@@ -267,13 +268,8 @@ def expected_partition(pspec: PottsSpec) -> float:
     q, d = spec.q, spec.d
     lam = green_eigenvalues(spec.rho.real, alpha)
     kernel = (dft(lam, q, d, inverse=True) / math.sqrt(size(q, d))).real
-    # axis k of the (q,)*d view is digit d-1-k; reading index 2a mod q on
-    # every axis gives k(2y mod q) in rank order of y
-    doubled = 2 * np.arange(q) % q
-    at_2y = kernel.reshape((q,) * d)
-    for axis in range(d):
-        at_2y = np.take(at_2y, doubled, axis=axis)
-    return float(np.sum(np.exp((0.5 * beta**2) * at_2y.ravel())))
+    at_2y = gather_digits(kernel, [2 * np.arange(q) % q] * d, q, d)
+    return float(np.sum(np.exp((0.5 * beta**2) * at_2y)))
 
 
 def log_expected_partition_delta(spec: Spectrum, alpha: float,

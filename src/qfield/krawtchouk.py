@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (NumericalError, RangeError, all_states, budget,
-                      count_vectors, multinomial_pmf, roots)
+from .lattice import (NumericalError, RangeError, budget, count_vectors,
+                      multinomial_pmf, roots, state_type_counts)
 from .walks import (AtomicMeasure, ContractError, IncrementLaw, _check_degree,
                     xi_powers, xi_transform)
 
@@ -213,12 +213,17 @@ def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float
     return worst
 
 
+def route_a_budget(q: int, d: int, l) -> None:
+    """Refuse route A's DPs at degree l from (q, d) alone."""
+    n = math.comb(d + q - 1, q - 1) * d * q  # DP steps
+    budget(f"route A at q={q}, d={d}", steps=n,
+           touched=n * math.prod(v + 1 for v in l))
+
+
 def kappa_route_counts(law: IncrementLaw, l) -> complex:
     """Route A: kappa_l = h_l sum_m P(counts of V = m) Q_l(m)."""
     l = _check_degree(l, law.q)
-    n = math.comb(law.d + law.q - 1, law.q - 1) * law.d * law.q  # DP steps
-    budget(f"route A at q={law.q}, d={law.d}", steps=n,
-           touched=n * math.prod(v + 1 for v in l))
+    route_a_budget(law.q, law.d, l)
     h_l = 1.0 / scale_constant_inv(l, law.d)
     mean = sum(prob * krawtchouk(m, l, law.q)
                for m, prob in law.count_law().items())
@@ -247,8 +252,7 @@ def kappa_getter(kappas):
     return kappas.__getitem__ if isinstance(kappas, dict) else kappas
 
 
-def count_chain_kernel(kappas, q: int, d: int, t: int,
-                       tab: KrawtchoukTable | None = None
+def count_chain_kernel(kappas, q: int, d: int, t: int
                        ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """t-step transition matrix of the type-count chain.
 
@@ -257,8 +261,7 @@ def count_chain_kernel(kappas, q: int, d: int, t: int,
     """
     if t < 0:
         raise RangeError(f"t must be >= 0, got {t}")
-    if tab is None:
-        tab = table(q, d)
+    tab = table(q, d)
     get = kappa_getter(kappas)
     kap = np.array([complex(get(l)) for l in tab.degrees])
     weights = (kap**t) * (1.0 / tab.h_inv)
@@ -277,8 +280,8 @@ def count_chain_kernel(kappas, q: int, d: int, t: int,
     return np.clip(kernel, 0.0, None), tab.counts
 
 
-def ct_grouped_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int,
-                           degree_indices=None) -> dict[tuple[int, ...], complex]:
+def ct_grouped_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int
+                           ) -> dict[tuple[int, ...], complex]:
     """Count-chain semigroup eigenvalues per degree index l.
 
     exponent_l = tau * sum_atoms w * (h_l Q_l(zeta) - 1)/(d - zeta[0]) over
@@ -288,9 +291,7 @@ def ct_grouped_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int,
     """
     if tau < 0:
         raise RangeError(f"tau must be >= 0, got {tau}")
-    if degree_indices is None:  # the keyword shadows the module function
-        degree_indices = [m[:-1] for m in count_vectors(q, d)]
-    degrees = [_check_degree(l, q) for l in degree_indices]
+    degrees = degree_indices(q, d)
     h_inv = np.array([scale_constant_inv(l, d) for l in degrees], dtype=float)
     atoms = np.atleast_2d(measure.points).astype(np.int64)
     if atoms.shape[1] != q or np.any(atoms.sum(axis=1) != d):
@@ -302,17 +303,6 @@ def ct_grouped_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int,
             continue  # h_l Q_l((d,0,..)) = 1 exactly: inert atom
         acc += w * (krawtchouk_values(zeta, degrees, q) / h_inv - 1.0) / moving
     return {l: complex(np.exp(tau * a)) for l, a in zip(degrees, acc)}
-
-
-def state_type_counts(q: int, d: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Count vectors plus the map rank -> class index."""
-    counts = count_vectors(q, d)
-    lookup = {m: i for i, m in enumerate(counts)}
-    states = all_states(q, d)
-    classes = np.empty(states.shape[0], dtype=np.int64)
-    for i, x in enumerate(states):
-        classes[i] = lookup[tuple(np.bincount(x, minlength=q))]
-    return counts, classes
 
 
 def lump_by_type(matrix: np.ndarray, q: int, d: int) -> np.ndarray:

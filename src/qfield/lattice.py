@@ -5,6 +5,10 @@ Points of the lattice are plain integer vectors (length d, entries in
 ``sum_k x[k] * q**k``, so rank 0 is the origin and the first coordinate
 is the fastest-varying digit.  Functions on the lattice are stored as
 flat complex arrays of length q**d indexed by rank ("lattice arrays").
+This module is the one home of those index maps: :func:`rank` and
+:func:`unrank` convert one point or a (..., d) array of them, and
+:func:`gather_digits` reads a lattice array through one index map per
+digit of its (q,)*d view.
 
 The discrete Fourier transform used throughout is the unitary one,
 
@@ -23,7 +27,8 @@ Either way the result equals ``np.fft.fftn`` over the d lattice axes bit
 for bit.  A naive O(q^{2d}) double-sum path is kept as a test oracle.
 
 The type classes of points (count vectors m, m[j] coordinates equal to
-j) are listed by :func:`count_vectors`, weighted by :func:`multinomial_pmf`.
+j) are listed by :func:`count_vectors`, weighted by :func:`multinomial_pmf`;
+:func:`state_type_counts` maps every rank to its class.
 Errors form two families: :class:`RangeError` is bad input (CLI exit 2),
 :class:`NumericalError` a failed numerical contract (exit 3).
 
@@ -82,12 +87,14 @@ def size(q: int, d: int) -> int:
     return n
 
 
-def rank(entries, q: int) -> int:
-    """Little-endian rank of a lattice point: sum_k entries[k] * q**k."""
+def rank(entries, q: int):
+    """Little-endian rank sum_k x[k] * q**k of one point (an int) or of
+    each row of a (..., d) array (an int64 array of shape (...,))."""
     x = np.asarray(entries, dtype=np.int64)
-    if x.ndim != 1 or np.any(x < 0) or np.any(x >= q):
+    if x.ndim == 0 or np.any(x < 0) or np.any(x >= q):
         raise RangeError(f"entries must lie in [0, {q}): got {entries!r}")
-    return int(np.dot(x, q ** np.arange(x.size, dtype=np.int64)))
+    r = x @ q ** np.arange(x.shape[-1], dtype=np.int64)
+    return int(r) if x.ndim == 1 else r
 
 
 def point(entries, q: int, d: int) -> np.ndarray:
@@ -101,20 +108,23 @@ def point(entries, q: int, d: int) -> np.ndarray:
     return x
 
 
-def unrank(i: int, q: int, d: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank`.  Raises RangeError for i outside [0, q**d)."""
+def unrank(i, q: int, d: int):
+    """Inverse of :func:`rank`: a tuple for one rank, a (..., d) int64
+    array for an array of them.  RangeError for a rank outside [0, q**d)."""
     n = size(q, d)
-    if not 0 <= i < n:
+    r = np.asarray(i)
+    if np.any(r < 0) or np.any(r >= n):
         raise RangeError(f"rank {i} outside [0, {n})")
-    return tuple(i // q**k % q for k in range(d))
+    strides = q ** np.arange(d, dtype=np.int64)
+    digits = (r.astype(np.int64, copy=False)[..., None] // strides) % q
+    return digits if r.ndim else tuple(digits.tolist())
 
 
 def all_states(q: int, d: int) -> np.ndarray:
     """(q**d, d) integer array whose row i is unrank(i, q, d)."""
     n = size(q, d)
     budget(f"the ({n}, {d}) state table", entries=n * d)
-    i = np.arange(n, dtype=np.int64)[:, None]
-    return (i // q ** np.arange(d, dtype=np.int64)[None, :]) % q
+    return unrank(np.arange(n, dtype=np.int64), q, d)
 
 
 def count_vectors(q: int, d: int) -> list[tuple[int, ...]]:
@@ -137,6 +147,20 @@ def multinomial_pmf(m, d: int, q: int) -> float:
     """p(m; d) = (d choose m) q^-d, the share of the lattice in class m."""
     logc = math.lgamma(d + 1) - sum(math.lgamma(int(v) + 1) for v in m)
     return math.exp(logc - d * math.log(q))
+
+
+def state_type_counts(q: int, d: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Count vectors plus the map rank -> class index: one bincount tally
+    of every point's digits, each row looked up among the count vectors."""
+    counts = count_vectors(q, d)
+    states = all_states(q, d)
+    n = states.shape[0]
+    budget(f"the ({n}, {q}) type tally", entries=n * q)
+    tally = np.bincount((states + q * np.arange(n)[:, None]).ravel(),
+                        minlength=n * q).reshape(n, q)
+    lookup = {m: i for i, m in enumerate(counts)}
+    return counts, np.fromiter(map(lookup.__getitem__, map(tuple, tally.tolist())),
+                               dtype=np.int64, count=n)
 
 
 def roots(q: int) -> np.ndarray:
@@ -243,23 +267,27 @@ def dft_naive(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     return f @ w.T
 
 
-def circulant_row(kernel: np.ndarray, x, q: int, d: int) -> np.ndarray:
-    """Row x of the circulant, M[x, y] = k(x - y), as a lattice array in y.
+def gather_digits(values: np.ndarray, maps, q: int, d: int) -> np.ndarray:
+    """out[rank(y)] = values[rank((maps[k][y[k]])_k)]: a lattice array read
+    through one index map of length q per digit."""
+    out = values.reshape((q,) * d)
+    # axis a of the (q,)*d view is digit d-1-a
+    for k, index in enumerate(maps):
+        out = np.take(out, index, axis=d - 1 - k)
+    return out.ravel()
 
-    One ``np.take`` per digit of the ``(q,)*d`` view, reading k at
-    (x_j - y_j) mod q.  Raises RangeError unless every coordinate of x
-    lies in [0, q).
+
+def circulant_row(kernel: np.ndarray, x, q: int, d: int) -> np.ndarray:
+    """Row x of the circulant, M[x, y] = k(x - y), as a lattice array in y:
+    k read at (x_k - y_k) mod q on every digit.  Raises RangeError unless
+    every coordinate of x lies in [0, q).
     """
     kernel = np.asarray(kernel)
     n = size(q, d)
     if kernel.shape != (n,):
         raise ShapeError(f"kernel has shape {kernel.shape}, expected ({n},)")
     x = point(x, q, d)
-    # axis a of the (q,)*d view is digit d-1-a
-    row = kernel.reshape((q,) * d)
-    for j in range(d):
-        row = np.take(row, (x[j] - np.arange(q)) % q, axis=d - 1 - j)
-    return row.ravel()
+    return gather_digits(kernel, [(v - np.arange(q)) % q for v in x], q, d)
 
 
 def circulant_from_kernel(kernel: np.ndarray, q: int, d: int) -> np.ndarray:

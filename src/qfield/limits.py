@@ -25,8 +25,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from . import _mc
 from .green import grouped_sum
-from .krawtchouk import (degree_indices, kappa_getter, krawtchouk_values,
-                         log_scale_constant_inv)
+from .krawtchouk import degree_indices, kappa_getter, krawtchouk_values
 from .lattice import RangeError, budget, count_vectors, multinomial_pmf, roots
 from .pointprocess import PointProcessSpec, y_moment
 from .walks import ContractError
@@ -55,10 +54,11 @@ def hermite_table(max_k: int, x, q: int) -> np.ndarray:
     return out
 
 
-def hermite_orthogonality_residual(q: int, max_k: int = 8,
-                                   nodes: int = 64) -> float:
-    """max |E[H_j H_k] - delta_jk k!/q^k| under N(0, 1/q) by quadrature."""
-    z, w = hermegauss(nodes)
+def hermite_orthogonality_residual(q: int) -> float:
+    """max |E[H_j H_k] - delta_jk k!/q^k| over j, k <= 8 under N(0, 1/q),
+    by 64-node Gauss quadrature."""
+    max_k = 8
+    z, w = hermegauss(64)
     x = z / math.sqrt(q)
     w = w / w.sum()
     table = hermite_table(max_k, x, q)
@@ -279,8 +279,7 @@ def scaled_green_finite_d(kappa_of_l, alpha: float, q: int, d: int, m, n,
     Count vectors m, n must sum to d.
     """
     acc = grouped_sum(kappa_of_l, alpha, q, d, m, n,
-                     degree_indices(q, d, max_degree),
-                     lambda l: math.exp(-log_scale_constant_inv(l, d)))
+                      degree_indices(q, d, max_degree))
     return float(d ** (q - 1) * multinomial_pmf(m, d, q)
                  * multinomial_pmf(n, d, q) * acc)
 
@@ -336,18 +335,18 @@ def transform_field_cov_series(omega, psi, spec: PointProcessSpec,
     return complex(pref * acc), float(abs(pref) * tail)
 
 
-def transform_field_cov_closed(omega, psi, spec: PointProcessSpec,
-                               mass_eps: float = 1e-12
+def transform_field_cov_closed(omega, psi, spec: PointProcessSpec
                                ) -> tuple[complex, float]:
     """Closed route: prefactors * E_Y[exp(sum_k u_k Y[k])] with the exact
     killed-horizon mixture over atom compositions, truncated at total
-    mass 1 - mass_eps.  Returns (value, truncation bound)."""
+    mass 1 - 1e-12.  Returns (value, truncation bound)."""
     omega, psi = _check_transform_args(omega, psi, spec.q)
     xi = spec.xi_matrix()
     if np.max(np.abs(xi.imag)) > 1e-12:
         raise ContractError("closed transform-field route requires real Y "
                             "(real transform atoms)")
     u = _transform_couplings(omega, psi, spec.q)
+    mass_eps = 1e-12
     weights = spec.weights()
     n_atoms = len(weights)
     alpha = spec.alpha
@@ -365,17 +364,14 @@ def transform_field_cov_closed(omega, psi, spec: PointProcessSpec,
         inner = 0.0 + 0.0j
         for comp in count_vectors(n_atoms, t):
             logm = math.lgamma(t + 1)
-            ok = True
             for c_a, w_a in zip(comp, weights):
                 if c_a and w_a == 0.0:
-                    ok = False
-                    break
+                    break  # a composition with a weightless atom: no mass
                 logm += c_a * math.log(w_a) if c_a else 0.0
                 logm -= math.lgamma(c_a + 1)
-            if not ok:
-                continue
-            y = np.prod(xi.real[:, 1:] ** np.array(comp)[:, None], axis=0)
-            inner += math.exp(logm) * np.exp(np.sum(u * y))
+            else:
+                y = np.prod(xi.real[:, 1:] ** np.array(comp)[:, None], axis=0)
+                inner += math.exp(logm) * np.exp(np.sum(u * y))
         acc += p_t * inner
         mass += p_t
         t += 1

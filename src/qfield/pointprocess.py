@@ -28,7 +28,7 @@ import numpy as np
 from . import _mc
 from .lattice import RangeError
 from .walks import (IncrementLaw, KillingLaw, _check_degree, _check_pmf,
-                    _draw_categorical, lazy_walk, pmf_from_xi, xi_powers,
+                    _draw_mixture, lazy_walk, pmf_from_xi, xi_powers,
                     xi_transform)
 
 
@@ -170,12 +170,8 @@ def y_moment_mc_points(spec: PointProcessSpec, l, n_samples: int, seed: int,
     def draw(rng, m):
         horizons = spec.killing().sample(rng, m)
         total_epochs = int(horizons.sum())
-        atom_ids = _draw_categorical(rng, spec.weights(), total_epochs)
-        draws = np.empty((total_epochs, width), dtype=np.int64)
-        for a, atom in enumerate(spec.atoms):
-            idx = np.nonzero(atom_ids == a)[0]
-            if idx.size:
-                draws[idx] = _draw_categorical(rng, atom.pmf, (idx.size, width))
+        draws = _draw_mixture(rng, spec.weights(), [a.pmf for a in spec.atoms],
+                              (total_epochs, width))
         phase = (draws * labels[None, :]).sum(axis=1) % q
         epoch_factors = np.exp(2j * np.pi * phase / q)
         # per-walk product over its run of epochs

@@ -12,16 +12,13 @@ import numpy as np
 from . import fields, green, hamiltonian, krawtchouk, lattice, pointprocess, walks
 
 
-def _check(name, statistic, tol, extra=None):
-    entry = {
+def _check(name, statistic, tol):
+    return {
         "name": name,
         "statistic": float(statistic),
         "tol": float(tol),
         "pass": bool(statistic <= tol),
     }
-    if extra:
-        entry.update(extra)
-    return entry
 
 
 def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
@@ -69,8 +66,11 @@ def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
         eigmin = float(np.linalg.eigvalsh((g.matrix + g.matrix.T) / 2).min())
         checks.append(_check("green_psd", max(0.0, -eigmin), 1e-10 * tol_scale))
 
-    # grouped eigenvalue routes and the multinomial grouping identity
-    degs = krawtchouk.degree_indices(q, d, min(d, 3))
+    # grouped eigenvalue routes and the multinomial grouping identity; route
+    # A's steps at l = 0 are known from (q, d) before any degree is listed
+    deg_cap = min(d, 3)
+    krawtchouk.route_a_budget(q, d, ())
+    degs = krawtchouk.degree_indices(q, d, deg_cap)
     route_gap = max(abs(krawtchouk.kappa_route_counts(law, l)
                         - krawtchouk.kappa_route_transform(law, l))
                     for l in degs)
@@ -80,7 +80,6 @@ def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
                          1e-10 * tol_scale))
 
     # Krawtchouk orthogonality / duality at affordable degree
-    deg_cap = min(d, 3)
     checks.append(_check("krawtchouk_orthogonality",
                          krawtchouk.orthogonality_residual(q, d, deg_cap),
                          1e-9 * tol_scale))
@@ -100,8 +99,7 @@ def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
 
     # point-process identities
     pspec = pointprocess.spec_from_mixture(law, alpha)
-    half_gap = max(pointprocess.half_process_residual(pspec, l)
-                   for l in krawtchouk.degree_indices(q, min(d, 3)))
+    half_gap = max(pointprocess.half_process_residual(pspec, l) for l in degs)
     checks.append(_check("half_process_identity", half_gap, 1e-12 * tol_scale))
 
     # field synthesis inversion and Hamiltonian diagonalization

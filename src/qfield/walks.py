@@ -48,7 +48,7 @@ import numpy as np
 from . import _mc
 from .lattice import (NumericalError, RangeError, all_states, axis_tensor,
                       budget, circulant_from_kernel, count_vectors, dft,
-                      multinomial_pmf, point, rank, size)
+                      multinomial_pmf, point, rank, size, unrank)
 
 PMF_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -85,6 +85,19 @@ def _draw_categorical(rng: np.random.Generator, p: np.ndarray, shape):
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(shape), side="right")
+
+
+def _draw_mixture(rng: np.random.Generator, weights, pmfs, shape):
+    """Rows of i.i.d. draws from pmfs[i], i drawn once per row with
+    ``weights``: the components first, then each component's rows in
+    component order."""
+    comp = _draw_categorical(rng, weights, shape[0])
+    out = np.empty(shape, dtype=np.int64)
+    for i, p in enumerate(pmfs):
+        idx = np.nonzero(comp == i)[0]
+        if idx.size:
+            out[idx] = _draw_categorical(rng, p, (idx.size,) + shape[1:])
+    return out
 
 
 def xi_transform(p: np.ndarray) -> np.ndarray:
@@ -155,9 +168,7 @@ class IncrementLaw:
     def is_symmetric(self) -> bool:
         """True when V and -V mod q have the same law (symmetric jumps)."""
         p = self.pmf()
-        states = all_states(self.q, self.d)
-        neg = (-states) % self.q
-        neg_ranks = neg @ (self.q ** np.arange(self.d, dtype=np.int64))
+        neg_ranks = rank(-all_states(self.q, self.d) % self.q, self.q)
         return bool(np.allclose(p, p[neg_ranks], atol=PMF_TOL * 10))
 
     def is_exchangeable(self) -> bool:
@@ -318,13 +329,7 @@ class DeFinettiMixtureLaw(IncrementLaw):
         return Spectrum(rho, self.q, self.d)
 
     def sample(self, rng, n):
-        comp = _draw_categorical(rng, self.weights, n)
-        out = np.empty((n, self.d), dtype=np.int64)
-        for i, p in enumerate(self.pmfs):
-            idx = np.nonzero(comp == i)[0]
-            if idx.size:
-                out[idx] = _draw_categorical(rng, p, (idx.size, self.d))
-        return out
+        return _draw_mixture(rng, self.weights, self.pmfs, (n, self.d))
 
     def pmf(self):
         out = np.zeros(size(self.q, self.d))
@@ -370,11 +375,10 @@ class SparseExchangeableLaw(IncrementLaw):
         if self.c == 1:
             return True
         states = all_states(self.q, self.c)
-        strides = self.q ** np.arange(self.c, dtype=np.int64)
         # swapping the first two slots generates S_c together with rotations
         for perm in (np.roll(np.arange(self.c), 1),
                      np.concatenate(([1, 0], np.arange(2, self.c)))):
-            permuted = states[:, perm] @ strides
+            permuted = rank(states[:, perm], self.q)
             if not np.allclose(self.joint, self.joint[permuted], atol=1e-10):
                 return False
         return True
@@ -395,26 +399,23 @@ class SparseExchangeableLaw(IncrementLaw):
             values = 1 + np.indices((self.q - 1,) * n, dtype=np.int64
                                     ).reshape(n, (self.q - 1) ** n)
             ranks = self.q ** positions @ values
-            u = self.q ** np.arange(n, dtype=np.int64) @ values
+            u = rank(values.T, self.q)
             rho[ranks] = math.comb(self.d - n, self.c - n) / denom * phi[u]
         return Spectrum(rho, self.q, self.d)
 
     def sample(self, rng, n):
         out = rng.integers(0, self.q, size=(n, self.d))
         positions = np.argsort(rng.random((n, self.d)), axis=1)[:, : self.c]
-        flat = _draw_categorical(rng, self.joint, n)
-        vals = (flat[:, None] // self.q ** np.arange(self.c)[None, :]) % self.q
+        vals = unrank(_draw_categorical(rng, self.joint, n), self.q, self.c)
         np.put_along_axis(out, positions, vals, axis=1)
         return out
 
     def pmf(self):
         states = all_states(self.q, self.d)
-        strides = self.q ** np.arange(self.c, dtype=np.int64)
         out = np.zeros(size(self.q, self.d))
         u_base = 1.0 / (math.comb(self.d, self.c) * self.q ** (self.d - self.c))
         for sub in combinations(range(self.d), self.c):
-            u = states[:, sub] @ strides
-            out += u_base * self.joint[u]
+            out += u_base * self.joint[rank(states[:, sub], self.q)]
         return out
 
     def is_exchangeable(self):
@@ -707,7 +708,7 @@ def builtin_law(family: str, q: int, d: int) -> IncrementLaw:
         c = min(2, d)
         n = q**c
         joint = np.full(n, 0.4 / n)
-        diag = np.array([rank([v] * c, q) if c > 1 else v for v in range(q)])
+        diag = rank(np.repeat(np.arange(q), c).reshape(q, c), q)
         joint[diag] += 0.3 / q
         joint[0] += 0.3
         return SparseExchangeableLaw(q, d, c, joint=joint)

@@ -254,7 +254,7 @@ def test_criterion_10_clt_layer():
     1e-9; transform identity at 4 SE with 1e6 samples; transform-field
     covariance routes within 1e-6 at L = 12."""
     t0 = time.monotonic()
-    worst_herm = max(limits.hermite_orthogonality_residual(q, 8)
+    worst_herm = max(limits.hermite_orthogonality_residual(q)
                      for q in (2, 3, 4))
     assert worst_herm <= 1e-10, worst_herm
     rng = np.random.default_rng(1010)

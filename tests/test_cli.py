@@ -773,6 +773,37 @@ def test_over_budget_argv_exits_2_at_once(argv):
                      r"the (entry|step) budget of \d+$", line), line
 
 
+def test_mc_green_refuses_its_endpoint_pmf_before_any_walk(monkeypatch):
+    # the list of q^d = 2^20 floats is refused from (q, d), not after 800000
+    # killed walks
+    def no_walks(*args, **kwargs):
+        raise AssertionError("green_mc ran")
+
+    monkeypatch.setattr(cli.green, "green_mc", no_walks)
+    code, _, err = run_main(["mc-green", "--law", UNIFORM_2_20, "--alpha",
+                             "0.9", "--x0", ",".join(["0"] * 20), "--n",
+                             "800000", "--seed", "1"])
+    assert code == 2, err
+    [line] = err.splitlines()
+    assert line.startswith("config error: 1048576 JSON floats of the endpoint "
+                           "pmf: needs "), line
+
+
+def test_verify_refuses_route_a_before_listing_degrees():
+    # the 4096 count vectors of 4096 types (about 134 MB of tuples) that
+    # degree_indices(4096, 1, 1) lists are never built
+    tracemalloc.start()
+    try:
+        code, _, err = run_main(["verify", "--q", "4096", "--d", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2, err
+    assert err == ("config error: route A at q=4096, d=1: needs 16793600 "
+                   "steps, over the step budget of 1048576\n")
+    assert peak <= 16 * 2**20, peak
+
+
 def _mostly(big, small):
     """Three draws in four from ``big``, the rest from ``small``."""
     return st.integers(0, 3).flatmap(lambda k: small if k == 0 else big)

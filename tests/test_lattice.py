@@ -319,3 +319,43 @@ def test_size_refuses_a_lattice_over_the_budget_before_forming_it():
         lattice.all_states(2, 24)
     with pytest.raises(lattice.RangeError, match="tensor product"):
         lattice.axis_tensor([np.ones(2**12)] * 3)
+
+
+@pytest.mark.parametrize("q,d", [(2, 5), (3, 4), (7, 2), (4096, 1)])
+def test_rank_of_rows_equals_rank_of_each_row(q, d):
+    rows = np.random.default_rng(q * d).integers(0, q, size=(3, 5, d))
+    got = lattice.rank(rows, q)
+    assert got.shape == (3, 5) and got.dtype == np.int64
+    assert got.tolist() == [[lattice.rank(x, q) for x in block]
+                            for block in rows]
+    assert np.array_equal(lattice.unrank(got, q, d), rows)
+    bad = rows.copy()
+    bad[2, 4, d - 1] = q
+    with pytest.raises(lattice.RangeError):
+        lattice.rank(bad, q)
+    bad[2, 4, d - 1] = -1
+    with pytest.raises(lattice.RangeError):
+        lattice.rank(bad, q)
+    with pytest.raises(lattice.RangeError):
+        lattice.unrank(np.array([0, q**d]), q, d)
+
+
+def _type_counts_by_bincount(q, d):
+    """The per-point loop the vectorized map replaces."""
+    counts = lattice.count_vectors(q, d)
+    lookup = {m: i for i, m in enumerate(counts)}
+    states = lattice.all_states(q, d)
+    classes = np.empty(states.shape[0], dtype=np.int64)
+    for i, x in enumerate(states):
+        classes[i] = lookup[tuple(np.bincount(x, minlength=q))]
+    return counts, classes
+
+
+@pytest.mark.parametrize("q,d", [(2, 1), (2, 12), (3, 6), (4, 5), (7, 3),
+                                 (4096, 1)])
+def test_state_type_counts_equal_the_per_point_bincount(q, d):
+    counts, classes = lattice.state_type_counts(q, d)
+    want_counts, want_classes = _type_counts_by_bincount(q, d)
+    assert counts == want_counts == lattice.count_vectors(q, d)
+    assert classes.dtype == want_classes.dtype
+    assert np.array_equal(classes, want_classes)

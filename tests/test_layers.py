@@ -83,6 +83,33 @@ def test_count_classes_live_in_lattice():
     assert krawtchouk.multinomial_pmf is lattice.multinomial_pmf
 
 
+def _index_maps(tree: ast.Module) -> list[str]:
+    """Stride products ``... ** np.arange(...)`` and digit views
+    ``.reshape((q,) * d)`` written out in a module."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Call)
+                and ast.unparse(node.right.func) == "np.arange"):
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "reshape"
+                and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Mult)
+                        and isinstance(a.left, ast.Tuple) for a in node.args)):
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+def test_index_maps_live_in_lattice():
+    assert _index_maps(_tree("lattice"))  # the check sees what it looks for
+    for name in sorted(set().union(*LAYERS) - {"lattice"}):
+        assert not _index_maps(_tree(name)), name
+
+
+def test_type_counts_live_in_lattice():
+    assert krawtchouk.state_type_counts is lattice.state_type_counts
+
+
 def _library_errors() -> set[type]:
     return {obj for mod in LIBRARY for obj in vars(mod).values()
             if isinstance(obj, type) and issubclass(obj, Exception)

@@ -53,7 +53,7 @@ def test_hermite_is_the_table_recurrence_bit_for_bit(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hermite_orthogonality_quadrature(q):
-    assert limits.hermite_orthogonality_residual(q, 8) < 1e-10
+    assert limits.hermite_orthogonality_residual(q) < 1e-10
 
 
 def test_hermite_norms_by_direct_quadrature():

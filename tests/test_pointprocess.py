@@ -111,7 +111,7 @@ def test_categorical_draws_equal_rng_choice(seed):
 def test_lattice_draw_moments_equal_their_rng_choice_form(monkeypatch, scheme):
     spec = pp.lazy_spec(3, 0.5, [0.2, 0.5], [0.4, 0.6])
     got = pp.y_moment_mc_points(spec, (1, 2), 3000, seed=7, scheme=scheme)
-    monkeypatch.setattr(pp, "_draw_categorical", lambda rng, p, shape:
+    monkeypatch.setattr(walks, "_draw_categorical", lambda rng, p, shape:
                         rng.choice(len(p), size=shape, p=p))
     assert pp.y_moment_mc_points(spec, (1, 2), 3000, seed=7,
                                  scheme=scheme) == got

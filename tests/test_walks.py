@@ -385,13 +385,6 @@ def test_ct_grouped_eigenvalues_match_per_degree_sum():
                 acc += w * (kw.krawtchouk(z, l, q) / kw.scale_constant_inv(l, d)
                             - 1.0) / (d - z[0])
         assert abs(got[l] - np.exp(tau * acc)) < 1e-13
-    sub = [(2, 1), (0, 3)]
-    part = kw.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
-                                     tau, q, d, degree_indices=sub)
-    assert part == {l: got[l] for l in sub}
-    with pytest.raises(lattice.RangeError):
-        kw.ct_grouped_eigenvalues(walks.AtomicMeasure(zeta, weights),
-                                  tau, q, d, degree_indices=[(1,)])
 
 
 def test_xi_transform_round_trip():
