@@ -86,8 +86,7 @@ def grouped_sum(kappas, alpha: float, q: int, d: int, m, n, degrees) -> float:
     if sum(int(v) for v in m) != d or sum(int(v) for v in n) != d:
         raise RangeError(f"count vectors must sum to d = {d}")
     get = kappa_getter(kappas)
-    q_m = krawtchouk_values(m, degrees, q).tolist()
-    q_n = krawtchouk_values(n, degrees, q).tolist()
+    q_m, q_n = krawtchouk_values([m, n], degrees, q).tolist()
     acc = 0.0 + 0.0j
     for l, a, b in zip(degrees, q_m, q_n):
         h_l = math.exp(-log_scale_constant_inv(l, d))

@@ -4,10 +4,12 @@ Q_l(m) is the coefficient of w_1^l[1] .. w_{q-1}^l[q-1] in
 
     prod_{j=0}^{q-1} (1 + sum_{k=1}^{q-1} w_k theta_k^j)^m[j],
 
-theta_k = exp(2*pi*i*k/q), extracted by one dynamic program per count
-vector m: it truncates multi-degrees componentwise at the largest degree
-asked for on each axis, so one pass of cost O(|m| * q * prod(L[k]+1))
-yields Q_l(m) for every l in the box L.  The inverse squared norms
+theta_k = exp(2*pi*i*k/q), extracted by one dynamic program (DP) that
+takes a batch of count vectors at once: it truncates multi-degrees
+componentwise at the largest degree asked for on each axis, so the |m|
+passes of cost O(q * prod(L[k]+1)) that each m needs yield Q_l(m) for
+every l in the box L, and every m of a batch runs through the same
+passes.  The inverse squared norms
 h_l^-1 = d!/((d-|l|)! prod l[k]!) are computed in integer arithmetic.
 
 These polynomials diagonalize the type-count chain of walks with
@@ -25,6 +27,7 @@ Count vectors m and p(m; d) are the lattice's type classes
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,38 +51,79 @@ def degree_indices(q: int, d: int, max_total: int | None = None) -> list[tuple[i
     return [m[:-1] for m in count_vectors(q, cap)]
 
 
-def _check_counts(m, q: int) -> np.ndarray:
-    m = np.asarray(m, dtype=np.int64)
-    if m.shape != (q,) or np.any(m < 0):
+def _check_counts(m, q: int, ndims=(1,)) -> np.ndarray:
+    """m as an int64 array of ``ndims`` axes, the last of length q, with
+    no negative entry."""
+    try:
+        m = np.asarray(m, dtype=np.int64)
+    except ValueError:  # ragged rows
+        m = np.zeros((0, 0), dtype=np.int64)
+    if m.ndim not in ndims or m.shape[-1] != q or np.any(m < 0):
         raise RangeError(f"m must be a length-{q} nonnegative count vector")
     return m
 
 
+# one chunk of the batched DP holds at most this many coefficients: 128 KiB
+# of complex128 per array, so the DP's few chunk-sized arrays stay in cache
+_CHUNK_ENTRIES = 2**13
+
+
 def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     """Q_l(m) for every l in ``degrees`` (length-(q-1) nonnegative degree
-    indices), from one DP truncated at the largest degree on each axis;
-    entries with |l| > sum(m) come out exactly 0."""
-    m = _check_counts(m, q)
+    indices), for one count vector m of shape (q,) or for each row of an
+    (n, q) array: shape (n_degrees,) or (n, n_degrees), whose transpose is
+    C-contiguous.  Entries with |l| > sum(m) come out exactly 0.
+
+    All rows run through the same DP passes, truncated at the largest
+    degree on each axis.  Before digit j the rows are put in order of
+    m[j], most first, so pass a of digit j is one copy and q - 1 shifted
+    adds on the leading rows with m[j] > a: each row sees the operations
+    of its own DP, and its values equal that DP bit for bit.  Rows go in
+    chunks of at most ``_CHUNK_ENTRIES`` coefficients, or of one row where
+    its box alone is larger.
+    """
+    m = _check_counts(m, q, ndims=(1, 2))
+    rows = m.reshape(-1, q)
     degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, q - 1)
     box = tuple((np.max(degrees, axis=0, initial=0) + 1).tolist())
-    passes, n = int(m.sum()), math.prod(box)
-    # two coefficient arrays; each pass is a copy and q - 1 shifted adds
-    budget(f"the Krawtchouk DP at q={q}, |m|={passes}", entries=2 * n,
-           steps=passes * q, touched=passes * q * n)
-    # multiplying by w_k shifts the coefficient array one step up axis k-1
-    shifts = [(k, (slice(None),) * (k - 1) + (slice(1, None),),
-               (slice(None),) * (k - 1) + (slice(0, -1),))
+    n = math.prod(box)
+    if len(rows):
+        passes = int(rows.sum(axis=1).max())
+        # per row, two coefficient arrays; each pass is a copy and q - 1
+        # shifted adds
+        budget(f"the Krawtchouk DP at q={q}, |m|={passes}", entries=2 * n,
+               steps=passes * q, touched=passes * q * n)
+    # degree-major, so that the (n_degrees, n) transpose is C-contiguous
+    out = np.empty((len(degrees), len(rows)), dtype=complex).T
+    # multiplying by w_k shifts the coefficients one step up box axis k - 1,
+    # axis k of the (rows,) + box array
+    shifts = [(k, (slice(None),) * k + (slice(1, None),),
+               (slice(None),) * k + (slice(0, -1),))
               for k in range(1, q) if box[k - 1] > 1]
     theta = roots(q)
-    coef = np.zeros(box, dtype=complex)
-    coef[(0,) * (q - 1)] = 1.0
-    for j in range(q):
-        for _ in range(int(m[j])):
-            new = coef.copy()
-            for k, dst, src in shifts:
-                new[dst] += theta[(k * j) % q] * coef[src]
-            coef = new
-    return coef[tuple(degrees.T)]
+    picks = (slice(None),) + tuple(degrees.T)
+    step = max(1, _CHUNK_ENTRIES // n)
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        coef = np.zeros((len(chunk),) + box, dtype=complex)
+        coef[(slice(None),) + (0,) * (q - 1)] = 1.0
+        held = list(range(len(chunk)))  # coef row p holds chunk row held[p]
+        for j, column in enumerate(chunk.T.tolist()):
+            # the rows by m[j], most first: pass a of digit j runs on the
+            # leading rows, those with m[j] > a
+            order = sorted(held, key=column.__getitem__, reverse=True)
+            if order != held:
+                where = {row: p for p, row in enumerate(held)}
+                coef, held = coef[[where[row] for row in order]], order
+            column.sort()
+            for a in range(column[-1]):
+                live = len(column) - bisect.bisect_right(column, a)
+                head = coef[:live]
+                old = head.copy()
+                for k, dst, src in shifts:
+                    head[dst] += theta[(k * j) % q] * old[src]
+        out[start:start + len(chunk)][held] = coef[picks]
+    return out if m.ndim == 2 else out[0]
 
 
 def krawtchouk(m, l, q: int) -> complex:
@@ -141,21 +185,21 @@ class KrawtchoukTable:
 
 
 def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
-    """Q_l(m) for |l| <= max_degree (default d) and |m| = d, one DP per m."""
+    """Q_l(m) for |l| <= max_degree (default d) and |m| = d, every m in
+    one batched DP."""
     _check_count_budget(q, d, max_degree)
     degrees = degree_indices(q, d, max_degree)
     counts = count_vectors(q, d)
-    values = np.empty((len(degrees), len(counts)), dtype=complex)
-    for j, m in enumerate(counts):
-        values[:, j] = krawtchouk_values(m, degrees, q)
+    values = krawtchouk_values(counts, degrees, q).T
     h_inv = np.array([scale_constant_inv(l, d) for l in degrees], dtype=float)
     return KrawtchoukTable(q, d, degrees, counts, values, h_inv)
 
 
 def _check_count_budget(q: int, d: int, max_degree: int | None) -> None:
     """Exact checks build a table of the C(L+q-1, q-1) degrees, L =
-    min(max_degree, d), by all C(d+q-1, q-1) count vectors, one DP over an
-    (L+1)^(q-1) box per count vector: refuse it before building anything."""
+    min(max_degree, d), by all C(d+q-1, q-1) count vectors, from one batched
+    DP that runs d passes over an (L+1)^(q-1) box for each count vector:
+    refuse it before building anything."""
     n = math.comb(d + q - 1, q - 1)
     cap = d if max_degree is None else max(0, min(max_degree, d))
     entries = n * math.comb(cap + q - 1, q - 1)
@@ -198,14 +242,16 @@ def duality_residual(m, l, q: int) -> float:
 
 def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float:
     """max of :func:`duality_residual` over |l| <= max_degree and |m| = d:
-    Q_l(m) from one table, Q_{m^-}(l^+) for every m from one DP per l."""
+    Q_l(m) from one table, the duals Q_{m^-}(l^+) for every l and m from
+    one batched DP over the l^+."""
     _check_count_budget(q, d, max_degree)
     tab = table(q, d, max_degree)
     m_minus = [m[1:] for m in tab.counts]
     h_inv_m = np.array([scale_constant_inv(v, d) for v in m_minus], dtype=float)
+    duals = krawtchouk_values([(d - sum(l),) + l for l in tab.degrees],
+                              m_minus, q)
     worst = 0.0
-    for l, h_inv_l, q_l in zip(tab.degrees, tab.h_inv, tab.values):
-        dual = krawtchouk_values((d - sum(l),) + l, m_minus, q)
+    for h_inv_l, q_l, dual in zip(tab.h_inv, tab.values, duals):
         gap = h_inv_m * q_l - h_inv_l * dual
         # hypot is abs() of a Python complex: each entry is the per-pair one
         rel = np.hypot(gap.real, gap.imag) / (h_inv_m * h_inv_l)
@@ -225,8 +271,10 @@ def kappa_route_counts(law: IncrementLaw, l) -> complex:
     l = _check_degree(l, law.q)
     route_a_budget(law.q, law.d, l)
     h_l = 1.0 / scale_constant_inv(l, law.d)
-    mean = sum(prob * krawtchouk(m, l, law.q)
-               for m, prob in law.count_law().items())
+    law_counts = law.count_law()
+    values = krawtchouk_values(list(law_counts), [l], law.q)[:, 0].tolist()
+    mean = sum(prob * value
+               for prob, value in zip(law_counts.values(), values))
     return complex(h_l * mean)
 
 
@@ -296,12 +344,13 @@ def ct_grouped_eigenvalues(measure: AtomicMeasure, tau: float, q: int, d: int
     atoms = np.atleast_2d(measure.points).astype(np.int64)
     if atoms.shape[1] != q or np.any(atoms.sum(axis=1) != d):
         raise RangeError("atoms must be count vectors over q types summing to d")
+    moving = d - atoms[:, 0]
+    # h_l Q_l((d,0,..)) = 1 exactly: inert atoms run no DP and add nothing
+    live = np.flatnonzero(moving)
+    values = krawtchouk_values(atoms[live], degrees, q)
     acc = np.zeros(len(degrees), dtype=complex)
-    for zeta, w in zip(atoms, measure.weights):
-        moving = d - int(zeta[0])
-        if moving == 0:
-            continue  # h_l Q_l((d,0,..)) = 1 exactly: inert atom
-        acc += w * (krawtchouk_values(zeta, degrees, q) / h_inv - 1.0) / moving
+    for i, q_zeta in zip(live.tolist(), values):
+        acc += measure.weights[i] * (q_zeta / h_inv - 1.0) / int(moving[i])
     return {l: complex(np.exp(tau * a)) for l, a in zip(degrees, acc)}
 
 

@@ -6,7 +6,8 @@ Points of the lattice are plain integer vectors (length d, entries in
 is the fastest-varying digit.  Functions on the lattice are stored as
 flat complex arrays of length q**d indexed by rank ("lattice arrays").
 This module is the one home of those index maps: :func:`rank` and
-:func:`unrank` convert one point or a (..., d) array of them, and
+:func:`unrank` convert one point or a (..., d) array of them,
+:func:`sparse_ranks` ranks points given by their nonzero digits, and
 :func:`gather_digits` reads a lattice array through one index map per
 digit of its (q,)*d view.
 
@@ -95,6 +96,14 @@ def rank(entries, q: int):
         raise RangeError(f"entries must lie in [0, {q}): got {entries!r}")
     r = x @ q ** np.arange(x.shape[-1], dtype=np.int64)
     return int(r) if x.ndim == 1 else r
+
+
+def sparse_ranks(positions, values, q: int) -> np.ndarray:
+    """Ranks of the points with digits values[:, j] at the digit positions
+    positions[i] and 0 elsewhere: ``positions`` is (n_sets, n) and
+    ``values`` (n, n_values), the result an (n_sets, n_values) int64 array."""
+    return q ** np.asarray(positions, dtype=np.int64) @ np.asarray(
+        values, dtype=np.int64)
 
 
 def point(entries, q: int, d: int) -> np.ndarray:

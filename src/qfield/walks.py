@@ -48,7 +48,8 @@ import numpy as np
 from . import _mc
 from .lattice import (NumericalError, RangeError, all_states, axis_tensor,
                       budget, circulant_from_kernel, count_vectors, dft,
-                      multinomial_pmf, point, rank, size, unrank)
+                      multinomial_pmf, point, rank, size, sparse_ranks,
+                      unrank)
 
 PMF_TOL = 1e-12
 IMAG_TOL = 1e-10
@@ -398,7 +399,7 @@ class SparseExchangeableLaw(IncrementLaw):
                                  dtype=np.int64)
             values = 1 + np.indices((self.q - 1,) * n, dtype=np.int64
                                     ).reshape(n, (self.q - 1) ** n)
-            ranks = self.q ** positions @ values
+            ranks = sparse_ranks(positions, values, self.q)
             u = rank(values.T, self.q)
             rho[ranks] = math.comb(self.d - n, self.c - n) / denom * phi[u]
         return Spectrum(rho, self.q, self.d)

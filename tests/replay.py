@@ -78,6 +78,11 @@ EDGE_ARGVS = [
     ["verify", "--q", "4", "--d", "6"],
     ["verify", "--q", "64", "--d", "1"],
     ["krawtchouk", "--q", "200", "--d", "2", "--check", "orthogonality"],
+    # the batched Krawtchouk DP over two chunks, and route A over 91 counts
+    ["krawtchouk", "--q", "4", "--d", "8", "--check", "duality",
+     "--tol", "1e-9"],
+    ["kappa", "--law", _LAZY.replace('"d": 2', '"d": 12'), "--l", "2,1",
+     "--route", "counts"],
     # the largest JSON lists inside the budgets, and the first past them
     ["eigen", "--law", _UNIFORM.format(q=2, d=18)],
     ["green", "--law", _UNIFORM.format(q=2, d=19), "--alpha", "0.5",

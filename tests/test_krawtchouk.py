@@ -202,12 +202,12 @@ def test_max_duality_matches_per_pair_residuals(q):
             assert abs(got - oracle) < 1e-12, (q, d, max_degree)
 
 
-def _count_dp_runs(monkeypatch):
+def _count_dp_calls(monkeypatch):
     calls = []
     dp = kw.krawtchouk_values
 
     def counted(m, degrees, q):
-        calls.append(tuple(int(v) for v in m))
+        calls.append(np.shape(m))
         return dp(m, degrees, q)
 
     def per_pair(*args):
@@ -220,15 +220,88 @@ def _count_dp_runs(monkeypatch):
 
 @pytest.mark.parametrize("q,d,max_degree", [(2, 6, None), (3, 5, 4),
                                             (4, 5, None), (4, 6, 4)])
-def test_one_dp_per_count_vector(monkeypatch, q, d, max_degree):
+def test_one_batched_dp_per_caller(monkeypatch, q, d, max_degree):
     n_counts = len(kw.count_vectors(q, d))
     n_degrees = len(kw.degree_indices(q, d, max_degree))
-    calls = _count_dp_runs(monkeypatch)
+    calls = _count_dp_calls(monkeypatch)
     kw.table(q, d, max_degree)
-    assert len(calls) == n_counts
+    assert calls == [(n_counts, q)]
     calls.clear()
     kw.max_duality_residual(q, d, max_degree)
-    assert len(calls) <= n_counts + n_degrees
+    assert calls == [(n_counts, q), (n_degrees, q)]
+    calls.clear()
+    law = walks.lazy_walk(q, d, [0.3, 0.7])
+    kw.kappa_route_counts(law, (1,) * (q - 1))
+    assert calls == [(len(law.count_law()), q)]
+
+
+def _per_row_dp(m, degrees, q):
+    """The one-count-vector DP: |m| passes, each a copy and q - 1 shifted
+    adds, over the box of the largest degree on each axis."""
+    degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, q - 1)
+    box = tuple((np.max(degrees, axis=0, initial=0) + 1).tolist())
+    shifts = [(k, (slice(None),) * (k - 1) + (slice(1, None),),
+               (slice(None),) * (k - 1) + (slice(0, -1),))
+              for k in range(1, q) if box[k - 1] > 1]
+    theta = lattice.roots(q)
+    coef = np.zeros(box, dtype=complex)
+    coef[(0,) * (q - 1)] = 1.0
+    for j in range(q):
+        for _ in range(int(m[j])):
+            new = coef.copy()
+            for k, dst, src in shifts:
+                new[dst] += theta[(k * j) % q] * coef[src]
+            coef = new
+    return coef[tuple(degrees.T)]
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape
+            and all(np.array_equal(f(got), f(want)) for f in (
+                np.real, np.imag, lambda v: np.signbit(v.real),
+                lambda v: np.signbit(v.imag))))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_batched_dp_equals_the_per_row_dp_bit_for_bit(q):
+    rng = np.random.default_rng(q)
+    # rows of |m| = 0..5 in a shuffled order, and degrees up to |l| = 6,
+    # past every row's |m|, so some entries are exact zeros
+    rows = [m for d in range(6) for m in kw.count_vectors(q, d)]
+    rows = np.array(rows)[rng.permutation(len(rows))]
+    degrees = kw.degree_indices(q, 6, 6 if q <= 4 else 3)
+    got = kw.krawtchouk_values(rows, degrees, q)
+    want = np.array([_per_row_dp(m, degrees, q) for m in rows])
+    assert _same_bits(got, want)
+    assert np.all(got[rows.sum(axis=1) < 3][:, [sum(l) >= 3 for l in degrees]]
+                  == 0)
+    # a single row keeps its (n_degrees,) shape
+    assert _same_bits(kw.krawtchouk_values(rows[-1], degrees, q), want[-1])
+
+
+def test_batched_dp_spans_chunks():
+    # a (31, 31) box holds 961 coefficients, so 496 rows span many chunks
+    q, d = 3, 30
+    assert 496 * 31**2 > 4 * kw._CHUNK_ENTRIES
+    counts = np.array(kw.count_vectors(q, d))[::-1]
+    degrees = kw.degree_indices(q, d)
+    got = kw.krawtchouk_values(counts, degrees, q)
+    picks = np.random.default_rng(0).choice(len(counts), 40, replace=False)
+    for i in [0, len(counts) - 1, *picks]:
+        assert _same_bits(got[i], _per_row_dp(counts[i], degrees, q))
+
+
+@pytest.mark.parametrize("m", [(1, -1, 2), (1, 2), (1, 2, 3, 4),
+                               [(1, 1, 1), (0, 1)], [(1, 1, 1), (2, -1, 0)],
+                               [[(1, 1, 1)]]])
+def test_batched_dp_refuses_bad_rows(m):
+    with pytest.raises(lattice.RangeError, match="length-3 nonnegative"):
+        kw.krawtchouk_values(m, [(1, 0)], 3)
+
+
+def test_batched_dp_of_no_rows():
+    assert kw.krawtchouk_values(np.zeros((0, 3)), [(1, 0), (0, 2)],
+                                3).shape == (0, 2)
 
 
 def test_orthogonality_on_the_496_table():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,20 @@ def test_size_refuses_a_lattice_over_the_budget_before_forming_it():
     with pytest.raises(lattice.RangeError, match="tensor product"):
         lattice.axis_tensor([np.ones(2**12)] * 3)
 
+
+
+@pytest.mark.parametrize("q,d,n", [(3, 5, 0), (3, 5, 2), (2, 6, 3), (5, 3, 3)])
+def test_sparse_ranks_equal_the_rank_of_each_point(q, d, n):
+    positions = np.array(list(itertools.combinations(range(d), n)),
+                         dtype=np.int64)
+    values = np.random.default_rng(n).integers(0, q, size=(n, 4))
+    got = lattice.sparse_ranks(positions, values, q)
+    assert got.shape == (len(positions), 4) and got.dtype == np.int64
+    for i, where in enumerate(positions):
+        for j in range(4):
+            x = np.zeros(d, dtype=np.int64)
+            x[where] = values[:, j]
+            assert got[i, j] == lattice.rank(x, q)
 
 @pytest.mark.parametrize("q,d", [(2, 5), (3, 4), (7, 2), (4096, 1)])
 def test_rank_of_rows_equals_rank_of_each_row(q, d):

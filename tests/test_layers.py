@@ -84,13 +84,17 @@ def test_count_classes_live_in_lattice():
 
 
 def _index_maps(tree: ast.Module) -> list[str]:
-    """Stride products ``... ** np.arange(...)`` and digit views
-    ``.reshape((q,) * d)`` written out in a module."""
+    """Stride products ``... ** np.arange(...)`` or ``q ** x @ y`` and
+    digit views ``.reshape((q,) * d)`` written out in a module."""
     out = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
                 and isinstance(node.right, ast.Call)
                 and ast.unparse(node.right.func) == "np.arange"):
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, ast.Pow)):
             out.append(f"line {node.lineno}: {ast.unparse(node)}")
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "reshape"

@@ -1,5 +1,5 @@
 """Peak-memory guards for the dense N^2 layers, one Green row, the lattice
-transform and the Potts partition function.
+transform, the Krawtchouk table and the Potts partition function.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of
 one call is the memory that call allocates, output included.
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfield import cli, fields, green, hamiltonian, lattice, walks
+from qfield import cli, fields, green, hamiltonian, krawtchouk, lattice, walks
 
 
 def _traced_peak(fn, *args):
@@ -68,6 +68,14 @@ def test_dft_peak_is_no_more_than_fftn(q, d, real):
     _, peak = _traced_peak(lattice.dft, values, q, d)
     _, fftn_peak = _traced_peak(fftn, values)
     assert peak <= fftn_peak, (peak, fftn_peak)
+
+
+# the batched DP runs its rows in chunks of a fixed number of coefficients;
+# one chunk of every row at (5, 8) would be 495 boxes of 9^4 coefficients
+@pytest.mark.parametrize("q,d", [(5, 8), (2, 400)])
+def test_krawtchouk_table_peak_is_the_table_and_one_chunk(q, d):
+    tab, peak = _traced_peak(krawtchouk.table, q, d)
+    assert peak <= 2 * tab.values.nbytes + 8 * 2**20, peak / tab.values.nbytes
 
 
 def test_real_matrix_csv_peak_is_below_the_matrix(tmp_path):
