@@ -140,7 +140,14 @@ def _emit(args, result: dict, t0: float) -> None:
         with _out_file(args.out) as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader has gone (``| head``): fd 1 to devnull, so that the
+            # flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 # values per block of CSV rows: bounds the Python floats alive at once
@@ -377,8 +384,10 @@ def cmd_limit(args):
     if args.check == "hermite":
         result = {"max_residual": limits.hermite_orthogonality_residual(q)}
     elif args.check == "limit-kraw":
-        # route B runs a DP of 4 passes, q steps each, over a 5^(q-1) box per
-        # degree and point (past q = 65, 5^64 already reads "more than 2^64")
+        # route B runs a DP of 4 passes, q steps each, over a 5^(q-1) box once
+        # per degree (it keeps the expansion); the count charges it per
+        # degree and point, a kept upper bound that leaves the refusal at
+        # q = 8 where it was (past q = 65, 5^64 reads "more than 2^64")
         steps = 4 * q * 10 * math.comb(q + 3, 4)
         budget(f"limit-kraw at q={q}", steps=steps,
                touched=steps * 5 ** min(q - 1, 64))

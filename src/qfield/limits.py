@@ -12,11 +12,15 @@ to Q_l(m; infinity), the coefficient of w^l in
 
 Two independent evaluation routes are kept: generic truncated-series
 exponentiation of that generating function (route A) and the explicit
-Hermite-product expansion (route B).
+Hermite-product expansion (route B).  Each keeps what depends on (l, q)
+alone, per process: route A the shifted slice-adds of its exponent, route
+B the expansion coefficients from one Krawtchouk DP.  Neither reads the
+other's, and both return the values of their per-entry loops bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -29,6 +33,12 @@ from .krawtchouk import degree_indices, kappa_getter, krawtchouk_values
 from .lattice import RangeError, budget, count_vectors, multinomial_pmf, roots
 from .pointprocess import PointProcessSpec, y_moment
 from .walks import ContractError
+
+# (l, q) entries each route keeps; `limit --check limit-kraw` asks for
+# C(q + 3, 4) degrees, 210 at q = 7
+_ROUTE_CACHE = 512
+# gathered Hermite values per chunk of route B's points (512 KiB)
+_GATHER_ENTRIES = 2**16
 
 
 def hermite_chebycheff(k: int, x, q: int):
@@ -82,13 +92,6 @@ def _quadratic_pairs(q: int) -> list[tuple[int, int, complex]]:
     return out
 
 
-def _linear_coeffs(m_full: np.ndarray, q: int) -> np.ndarray:
-    """c_k = sum_j m[j] theta_k^j for k = 1..q-1."""
-    theta = roots(q)
-    j = np.arange(q)
-    return np.array([np.sum(m_full * theta[(k * j) % q]) for k in range(1, q)])
-
-
 def full_type_vector(m_plus, q: int) -> np.ndarray:
     """Prepend m[0] = -sum(m_plus) to close the singular constraint."""
     m_plus = np.asarray(m_plus, dtype=float)
@@ -97,15 +100,33 @@ def full_type_vector(m_plus, q: int) -> np.ndarray:
     return np.concatenate(([-m_plus.sum()], m_plus))
 
 
-def _truncated_multiply(a: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
-    out = np.zeros(shape, dtype=complex)
-    for idx in np.ndindex(a.shape):
-        if a[idx] == 0:
-            continue
-        window = tuple(slice(0, s - i) for s, i in zip(shape, idx))
-        target = tuple(slice(i, None) for i in idx)
-        out[target] += a[idx] * b[window]
-    return out
+@functools.lru_cache(maxsize=_ROUTE_CACHE)
+def _series_plan(l: tuple[int, ...], q: int
+                 ) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Route A's exponent at degree l: the rows theta_k^j (k = 1..q-1) whose
+    sums against m give the linear coefficients c_k = sum_j m[j] theta_k^j,
+    the quadratic coefficients, and one (slot, output slices, term window
+    slices) per exponent entry inside the (l + 1) box, slot indexing
+    [c_1 .. c_{q-1}, quadratic coefficients].
+
+    Multiplying a term by the exponent adds term[window] * value into
+    out[entry:] for each entry.  The entries go in descending lex order, so
+    output entry t gets its products term[t - e] expo[e] in ascending lex
+    order of t - e, the order of a loop over the term's entries."""
+    pairs = _quadratic_pairs(q)
+    entries = [tuple(int(i == k) for i in range(1, q)) for k in range(1, q)]
+    entries += [tuple(int(i == k) + int(i == kk) for i in range(1, q))
+                for k, kk, _ in pairs]
+    shape = tuple(v + 1 for v in l)
+    inside = sorted(((e, slot) for slot, e in enumerate(entries)
+                     if all(i < s for i, s in zip(e, shape))), reverse=True)
+    shifts = tuple((slot, tuple(slice(i, None) for i in e),
+                    tuple(slice(0, s - i) for s, i in zip(shape, e)))
+                   for e, slot in inside)
+    rows = roots(q)[(np.arange(1, q)[:, None] * np.arange(q)) % q]
+    quad = np.array([coeff for *_, coeff in pairs], dtype=complex)
+    rows.flags.writeable = quad.flags.writeable = False
+    return rows, quad, shifts
 
 
 def limit_krawtchouk_series(m_full, l, q: int) -> complex:
@@ -114,38 +135,39 @@ def limit_krawtchouk_series(m_full, l, q: int) -> complex:
     m_full = np.asarray(m_full, dtype=float)
     if m_full.shape != (q,):
         raise RangeError(f"m must be the full length-{q} type vector")
+    rows, quad, shifts = _series_plan(l, q)
+    # each value as += on a zero entry leaves it: x + 0 turns -0.0 into +0.0
+    expo = np.concatenate((np.sum(m_full * rows, axis=1), quad)) + 0j
     shape = tuple(v + 1 for v in l)
-    expo = np.zeros(shape, dtype=complex)
-    c = _linear_coeffs(m_full, q)
-    for k in range(1, q):
-        idx = [0] * (q - 1)
-        idx[k - 1] = 1
-        if idx[k - 1] < shape[k - 1]:
-            expo[tuple(idx)] += c[k - 1]
-    for k, kk, coeff in _quadratic_pairs(q):
-        idx = [0] * (q - 1)
-        idx[k - 1] += 1
-        idx[kk - 1] += 1
-        if all(i < s for i, s in zip(idx, shape)):
-            expo[tuple(idx)] += coeff
     # exp(E) = sum_n E^n / n!, truncated at total degree |l|
     term = np.zeros(shape, dtype=complex)
     term[(0,) * (q - 1)] = 1.0
     acc = term.copy()
     for n in range(1, sum(l) + 1):
-        term = _truncated_multiply(term, expo, shape) / n
+        out = np.zeros(shape, dtype=complex)
+        for slot, target, window in shifts:
+            # term on the left: complex products are not bitwise commutative
+            out[target] += term[window] * expo[slot]
+        term = out / n
         acc += term
     return complex(acc[l])
 
 
-def _hermite_expansion_coeffs(l, q: int) -> list[tuple[tuple[int, ...], complex]]:
-    """(a, coeff) pairs: Q_l(m; inf) = sum_a coeff_a prod_j H_{a[j]}(m[j])."""
-    l = tuple(int(v) for v in l)
+@functools.lru_cache(maxsize=_ROUTE_CACHE)
+def _hermite_expansion_coeffs(l: tuple[int, ...], q: int
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Q_l(m; inf) = sum_i coeff[i] prod_j H_{a[i, j]}(m[j]), as the
+    read-only (n_coeff, q) count vectors a and (n_coeff,) coefficients,
+    nonzero ones only, from one Krawtchouk DP per (l, q)."""
     denom = float(math.prod(math.factorial(v) for v in l))
     a_all = count_vectors(q, sum(l))
     # degree index reused as a count vector over q types
     values = krawtchouk_values((0,) + l, [a[1:] for a in a_all], q).tolist()
-    return [(a, v / denom) for a, v in zip(a_all, values) if v != 0]
+    keep = [i for i, v in enumerate(values) if v != 0]
+    a = np.array([a_all[i] for i in keep], dtype=np.intp).reshape(-1, q)
+    coeff = np.array([values[i] / denom for i in keep], dtype=complex)
+    a.flags.writeable = coeff.flags.writeable = False
+    return a, coeff
 
 
 def limit_krawtchouk_hermite(m_full, l, q: int) -> complex:
@@ -171,12 +193,27 @@ def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int,
     elif table.shape[0] <= s:
         raise RangeError(f"a Hermite table of {table.shape[0]} rows cannot "
                          f"serve degree {s}")
-    acc = np.zeros(m_samples.shape[0], dtype=complex)
-    for a, coeff in _hermite_expansion_coeffs(l, q):
-        prod = np.ones(m_samples.shape[0])
-        for j in range(q):
-            prod = prod * table[a[j], :, j]
-        acc += coeff * prod
+    a, coeff = _hermite_expansion_coeffs(tuple(int(v) for v in l), q)
+    n = m_samples.shape[0]
+    acc = np.zeros(n, dtype=complex)
+    digits = np.arange(q)
+    step = max(1, _GATHER_ENTRIES // a.size)
+    for start in range(0, n, step):
+        # (n_coeff, q, points): H_{a[i, j]} at digit j of each point; the
+        # product over digits is the left fold 1.0 * t_0 * t_1 ...
+        prod = np.multiply.reduce(table[a, start:start + step, digits], axis=1)
+        terms = coeff[:, None] * prod
+        out = acc[start:start + step]
+        # summed in order from +0, as np.sum's pairwise order would change
+        # the bits: one add per coefficient, or where the points are fewer,
+        # running sums down the coefficient axis (one call per point) whose
+        # last row added to +0 is that sum, as the two can differ only
+        # where the running sum is -0.0
+        if len(terms) > len(out):
+            out += np.add.accumulate(terms, out=terms)[-1]
+        else:
+            for term in terms:
+                out += term
     return acc
 
 

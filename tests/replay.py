@@ -83,6 +83,13 @@ EDGE_ARGVS = [
      "--tol", "1e-9"],
     ["kappa", "--law", _LAZY.replace('"d": 2', '"d": 12'), "--l", "2,1",
      "--route", "counts"],
+    # both limit Krawtchouk routes past the fuzzed q = 2..4, the transform
+    # identity at q = 3 and the limit Green density
+    *(["limit", "--check", "limit-kraw", "--q", q, "--seed", seed]
+      for q in ("4", "5", "6") for seed in ("1", "2")),
+    ["limit", "--check", "transform", "--q", "3", "--mc", "20000",
+     "--seed", "1"],
+    ["limit", "--check", "green-limit", "--alpha", "0.3"],
     # the largest JSON lists inside the budgets, and the first past them
     ["eigen", "--law", _UNIFORM.format(q=2, d=18)],
     ["green", "--law", _UNIFORM.format(q=2, d=19), "--alpha", "0.5",

@@ -889,3 +889,18 @@ def test_fuzz_sizes_past_the_budgets(argv):
     assert code in (0, 2, 3), err
     if code == 2:
         assert peak <= 64 * 2**20, (peak, err)
+
+
+def test_a_reader_closing_stdout_early_leaves_the_exit_code():
+    # 2^16 points of JSON are megabytes, more than a pipe holds, so the
+    # write meets the closed pipe
+    law = json.dumps({"variant": "uniform", "q": 2, "d": 16})
+    proc = subprocess.Popen([sys.executable, "-m", "qfield", "eigen", "--law",
+                             law], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert "Traceback" not in err

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +89,9 @@ def test_hermite_coefficients_match_per_pair_krawtchouk(q):
             coeff = kw.krawtchouk((0,) + l, a[1:], q) / denom
             if coeff != 0:
                 oracle[a] = coeff
-        got = dict(limits._hermite_expansion_coeffs(l, q))
+        a, coeff = limits._hermite_expansion_coeffs(l, q)
+        got = dict(zip(map(tuple, a.tolist()), coeff.tolist()))
+        assert len(got) == len(a)
         assert max((abs(got.get(a, 0) - oracle.get(a, 0))
                     for a in set(got) | set(oracle)), default=0.0) < 1e-14
 
@@ -97,8 +101,127 @@ def test_hermite_coefficients_take_one_dp(monkeypatch):
     dp = limits.krawtchouk_values
     monkeypatch.setattr(limits, "krawtchouk_values",
                         lambda *args: calls.append(args) or dp(*args))
-    limits._hermite_expansion_coeffs((2, 1, 1), 4)
+    limits._hermite_expansion_coeffs.cache_clear()
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        m = limits.full_type_vector(rng.standard_normal(3), 4)
+        limits.limit_krawtchouk_hermite(m, (2, 1, 1), 4)
     assert len(calls) == 1
+    a, coeff = limits._hermite_expansion_coeffs((2, 1, 1), 4)
+    assert len(calls) == 1
+    for array in (a, coeff):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+# tracemalloc peak of the parent's limit_krawtchouk_batch (per-coefficient
+# loop) on this call: the (5, n, 4) Hermite table and two of its rows
+# while the table is built
+_BATCH_PEAK_BYTES = 89_600_536
+
+
+def test_limit_krawtchouk_batch_peak_is_the_table_build():
+    q, l = 4, (2, 1, 1)
+    m = limits.sample_type_gaussian(q, 400_000, np.random.default_rng(0))
+    limits.limit_krawtchouk_batch(m[:10], l, q)  # the expansion, kept
+    tracemalloc.start()
+    try:
+        limits.limit_krawtchouk_batch(m, l, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BATCH_PEAK_BYTES
+
+
+def _series_reference(m_full, l, q):
+    """Route A as a loop over the term's entries, each nonzero one adding
+    its product with the whole exponent window."""
+    shape = tuple(v + 1 for v in l)
+    theta = lattice.roots(q)
+    j = np.arange(q)
+    expo = np.zeros(shape, dtype=complex)
+    for k in range(1, q):
+        idx = [0] * (q - 1)
+        idx[k - 1] = 1
+        if idx[k - 1] < shape[k - 1]:
+            expo[tuple(idx)] += np.sum(m_full * theta[(k * j) % q])
+    for k, kk, coeff in limits._quadratic_pairs(q):
+        idx = [0] * (q - 1)
+        idx[k - 1] += 1
+        idx[kk - 1] += 1
+        if all(i < s for i, s in zip(idx, shape)):
+            expo[tuple(idx)] += coeff
+    term = np.zeros(shape, dtype=complex)
+    term[(0,) * (q - 1)] = 1.0
+    acc = term.copy()
+    for n in range(1, sum(l) + 1):
+        out = np.zeros(shape, dtype=complex)
+        for idx in np.ndindex(shape):
+            if term[idx] == 0:
+                continue
+            window = tuple(slice(0, s - i) for s, i in zip(shape, idx))
+            target = tuple(slice(i, None) for i in idx)
+            out[target] += term[idx] * expo[window]
+        term = out / n
+        acc += term
+    return complex(acc[l])
+
+
+def _batch_reference(m_samples, l, q):
+    """Route B as a loop over (a, coefficient) pairs from their own DP."""
+    denom = float(math.prod(math.factorial(v) for v in l))
+    counts = kw.count_vectors(q, sum(l))
+    values = kw.krawtchouk_values((0,) + l, [a[1:] for a in counts],
+                                  q).tolist()
+    table = limits.hermite_table(sum(l), m_samples, q)
+    acc = np.zeros(m_samples.shape[0], dtype=complex)
+    for a, v in zip(counts, values):
+        if v == 0:
+            continue
+        prod = np.ones(m_samples.shape[0])
+        for j in range(q):
+            prod = prod * table[a[j], :, j]
+        acc += (v / denom) * prod
+    return acc
+
+
+def _bits(values):
+    """Real and imaginary parts packed, so -0.0 and nan payloads count."""
+    return [struct.pack("<dd", z.real, z.imag)
+            for z in np.asarray(values, dtype=complex).ravel().tolist()]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_limit_routes_equal_their_per_entry_loops_bit_for_bit(q):
+    rng = np.random.default_rng(40 + q)
+    rows = [10.0**k * rng.standard_normal(q - 1) for k in range(-3, 2)]
+    fulls = [limits.full_type_vector(r, q) for r in rows]
+    fulls += [np.zeros(q), -np.zeros(q),
+              limits.full_type_vector(np.zeros(q - 1), q),
+              limits.full_type_vector(-np.zeros(q - 1), q)]
+    for l in kw.degree_indices(q, 5, 4):
+        for m in fulls:
+            assert _bits(limits.limit_krawtchouk_series(m, l, q)) \
+                == _bits(_series_reference(m, l, q)), (l, m)
+            assert _bits(limits.limit_krawtchouk_hermite(m, l, q)) \
+                == _bits(_batch_reference(m[None, :], l, q)), (l, m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_limit_krawtchouk_batch_equals_its_loop_bit_for_bit(q):
+    rng = np.random.default_rng(50 + q)
+    m = limits.sample_type_gaussian(q, 5000, rng)
+    m[::7] *= 1e2
+    m[::11] = 0.0
+    m[::13] = -0.0
+    table = limits.hermite_table(4, m, q)
+    for l in kw.degree_indices(q, 5, 4):
+        want = _bits(_batch_reference(m, l, q))
+        assert _bits(limits.limit_krawtchouk_batch(m, l, q)) == want, l
+        assert _bits(limits.limit_krawtchouk_batch(m, l, q, table)) == want, l
+        # fewer points than coefficients: the running-sum path
+        assert _bits(limits.limit_krawtchouk_batch(m[:3], l, q)) \
+            == want[:3], l
 
 
 def test_limit_krawtchouk_degree_one_is_linear_form():
