@@ -204,16 +204,10 @@ def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int,
         prod = np.multiply.reduce(table[a, start:start + step, digits], axis=1)
         terms = coeff[:, None] * prod
         out = acc[start:start + step]
-        # summed in order from +0, as np.sum's pairwise order would change
-        # the bits: one add per coefficient, or where the points are fewer,
-        # running sums down the coefficient axis (one call per point) whose
-        # last row added to +0 is that sum, as the two can differ only
-        # where the running sum is -0.0
-        if len(terms) > len(out):
-            out += np.add.accumulate(terms, out=terms)[-1]
-        else:
-            for term in terms:
-                out += term
+        # summed in order from +0, one add per coefficient, as np.sum's
+        # pairwise order would change the bits
+        for term in terms:
+            out += term
     return acc
 
 
