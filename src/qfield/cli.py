@@ -4,7 +4,8 @@ Subcommands: eigen, green, mc-green, sample-field, krawtchouk, kappa,
 pointproc, hamiltonian, partition, potts, limit, verify.
 
 Each handler ``cmd_<name>(args)`` returns ``(result, statistic)``, the
-statistic being the headline number that ``--tol`` judges, or None.
+statistic being the headline number that ``--tol`` judges, or None; the
+``limit`` tables are ``limits.check_table``.
 ``main`` alone parses argv (``--config`` keys become flags ahead of it),
 judges ``--tol`` and emits {"manifest": ..., "result": ...} as JSON to
 ``--out`` or stdout.  Matrices and field samples go to CSV at ``--out``
@@ -33,9 +34,10 @@ import time
 
 import numpy as np
 
-from . import __version__, _mc, fields, green, hamiltonian, krawtchouk, limits
+from . import __version__, _mc, fields, green, hamiltonian, krawtchouk
 from . import pointprocess, verify, walks
 from .lattice import MATERIAL_LIMIT, NumericalError, RangeError, budget, size
+from .limits import check_table
 
 CONFIG_EXIT = 2
 NUMERIC_EXIT = 3
@@ -379,67 +381,7 @@ def cmd_potts(args):
 
 
 def cmd_limit(args):
-    rng = np.random.default_rng(args.seed)
-    q = args.q
-    if args.check == "hermite":
-        result = {"max_residual": limits.hermite_orthogonality_residual(q)}
-    elif args.check == "limit-kraw":
-        # route B runs a DP of 4 passes, q steps each, over a 5^(q-1) box once
-        # per degree (it keeps the expansion); the count charges it per
-        # degree and point, a kept upper bound that leaves the refusal at
-        # q = 8 where it was (past q = 65, 5^64 reads "more than 2^64")
-        steps = 4 * q * 10 * math.comb(q + 3, 4)
-        budget(f"limit-kraw at q={q}", steps=steps,
-               touched=steps * 5 ** min(q - 1, 64))
-        worst = 0.0
-        for _ in range(10):
-            m = limits.full_type_vector(rng.standard_normal(q - 1), q)
-            for l in krawtchouk.degree_indices(q, 5, 4):
-                worst = max(worst, abs(
-                    limits.limit_krawtchouk_series(m, l, q)
-                    - limits.limit_krawtchouk_hermite(m, l, q)))
-        result = {"max_route_gap": worst}
-    elif args.check == "transform":
-        degrees = krawtchouk.degree_indices(q, 3, 2)
-        omega = np.zeros(q)
-        omega[1:] = rng.standard_normal(q - 1)
-        checks = limits.transform_identity(omega, degrees, q,
-                                           args.mc or 200_000, args.seed)
-        rows = [{"l": list(l), "mc": [mc.real, mc.imag],
-                 "closed": [rhs.real, rhs.imag], "stderr": se,
-                 "pass": bool(abs(mc - rhs) <= 4.0 * se + 1e-12)}
-                for l, (mc, rhs, se) in zip(degrees, checks)]
-        result = {"omega": omega.tolist(), "rows": rows}
-    elif args.check == "green-limit":
-        spec = pointprocess.lazy_spec(2, args.alpha, [0.2, 0.4])
-        kap = lambda l: pointprocess.kappa(spec, l)
-        lam = lambda l: pointprocess.y_moment(spec, l)
-        rows = []
-        for d in (40, 80, 160):
-            delta = int(round(0.3 * math.sqrt(d)))
-            m = (d // 2 + delta, d // 2 - delta)
-            meff = np.array([(m[0] - d / 2) / math.sqrt(d)])
-            fin = limits.scaled_green_finite_d(kap, args.alpha, 2, d, m, m,
-                                               max_degree=6)
-            lim = limits.limit_green_density(meff, meff, lam, 2, 6)
-            rows.append({"d": d, "finite": fin, "limit": lim,
-                         "ratio": fin / lim})
-        result = {"rows": rows}
-    else:  # field-transform
-        spec = pointprocess.lazy_spec(q, args.alpha, [0.2, 0.4])
-        omega = np.zeros(q)
-        psi = np.zeros(q)
-        omega[1] = 0.3
-        psi[1] = 0.5
-        # the series route enumerates its degrees first: large q stops there
-        b, tail = limits.transform_field_cov_series(omega, psi, spec, 12)
-        a, bound = limits.transform_field_cov_closed(omega, psi, spec)
-        result = {"closed": [a.real, a.imag], "series": [b.real, b.imag],
-                  "route_gap": abs(a - b), "series_tail": tail,
-                  "closed_truncation": bound}
-    stat = result.get("max_residual", result.get("max_route_gap",
-                                                  result.get("route_gap")))
-    return {"check": args.check, **result}, stat
+    return check_table(args.check, args.q, args.alpha, args.mc, args.seed)
 
 
 def cmd_verify(args):

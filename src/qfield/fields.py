@@ -27,7 +27,7 @@ from .green import WrappedLaw, frequency_box, green_eigenvalues
 from .krawtchouk import kappa_getter, table
 from .lattice import (NumericalError, RangeError, budget, dft, size,
                       state_type_counts, unrank)
-from .walks import Spectrum
+from .walks import IMAG_TOL, Spectrum
 
 
 class ReversibilityError(NumericalError):
@@ -102,7 +102,7 @@ def sample_count_field(kappas, q: int, d: int, alpha: float, seed: int,
     tab = table(q, d)
     get = kappa_getter(kappas)
     kap = np.array([complex(get(l)) for l in tab.degrees])
-    if np.max(np.abs(kap.imag)) > 1e-10:
+    if np.max(np.abs(kap.imag)) > IMAG_TOL:
         raise ReversibilityError("count field requires real grouped eigenvalues")
     lam = green_eigenvalues(kap.real, alpha)
     weights = np.sqrt(lam / tab.h_inv)
@@ -158,7 +158,7 @@ def sample_torus_field(law: WrappedLaw, alpha: float, radius: int, seed: int,
     """
     freqs = frequency_box(law.d, radius, mode)
     rho = law.rho(freqs)
-    if np.max(np.abs(rho.imag)) > 1e-10:
+    if np.max(np.abs(rho.imag)) > IMAG_TOL:
         raise ReversibilityError("torus field requires a symmetric wrapped law")
     lam = green_eigenvalues(rho.real, alpha)
     weights = np.sqrt(lam)

@@ -24,7 +24,8 @@ from .lattice import (MATERIAL_LIMIT, RangeError, circulant_from_kernel,
                       circulant_row, dft, point, rank, size)
 from .krawtchouk import (degree_indices, kappa_getter, krawtchouk_values,
                          log_scale_constant_inv)
-from .walks import IncrementLaw, KillingLaw, Spectrum, simulate_killed
+from .walks import (IMAG_TOL, PMF_TOL, IncrementLaw, KillingLaw, Spectrum,
+                    simulate_killed)
 
 
 def green_eigenvalues(rho: np.ndarray, alpha: float) -> np.ndarray:
@@ -60,7 +61,7 @@ def green_exact(spec: Spectrum, alpha: float,
     lam = green_eigenvalues(spec.rho, alpha)
     n = size(spec.q, spec.d)
     kernel = dft(lam, spec.q, spec.d, inverse=True) / math.sqrt(n)
-    if np.max(np.abs(kernel.imag)) > 1e-10:
+    if np.max(np.abs(kernel.imag)) > IMAG_TOL:
         raise RangeError("Green kernel has imaginary residue; eigenvalues invalid")
     kernel = kernel.real
     if materialize is None:
@@ -158,7 +159,7 @@ class WrappedLaw:
         self.atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float)) % 1.0
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         total = self.uniform_weight + self.weights.sum()
-        if abs(total - 1.0) > 1e-12 or np.any(self.weights < 0) \
+        if abs(total - 1.0) > PMF_TOL or np.any(self.weights < 0) \
                 or self.uniform_weight < 0:
             raise RangeError("wrapped law weights must be a probability vector")
         if self.atoms.shape != (len(self.weights), self.d):

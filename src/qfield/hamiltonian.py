@@ -27,7 +27,7 @@ from .green import green_eigenvalues, green_exact
 from .krawtchouk import degree_indices, kappa_from_law, scale_constant_inv
 from .lattice import (RangeError, budget, circulant_from_kernel, dft,
                       gather_digits, size)
-from .walks import (ContractError, Spectrum, transition_kernel,
+from .walks import (PMF_TOL, ContractError, Spectrum, transition_kernel,
                     transition_matrix)
 
 
@@ -210,7 +210,7 @@ def log_z_limit(z_values, weights, alpha: float, beta: float, q: int,
     weights = np.asarray(weights, dtype=float)
     if np.any(z_values < 0):
         raise RangeError("|Z| atoms must be >= 0")
-    if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
+    if abs(weights.sum() - 1.0) > PMF_TOL or np.any(weights < 0):
         raise RangeError("weights must be a probability vector")
     c_val = (2.0 * q - 1.0) / q if c is None else float(c)
     inner = alpha * np.exp(-c_val * z_values)

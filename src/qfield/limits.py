@@ -16,6 +16,7 @@ Hermite-product expansion (route B).  Each keeps what depends on (l, q)
 alone, per process: route A the shifted slice-adds of its exponent, route
 B the expansion coefficients from one Krawtchouk DP.  Neither reads the
 other's, and both return the values of their per-entry loops bit for bit.
+:func:`check_table` builds the five ``qfield limit --check`` tables.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from . import _mc
 from .green import grouped_sum
 from .krawtchouk import degree_indices, kappa_getter, krawtchouk_values
 from .lattice import RangeError, budget, count_vectors, multinomial_pmf, roots
-from .pointprocess import PointProcessSpec, y_moment
+from .pointprocess import PointProcessSpec, kappa, lazy_spec, y_moment
 from .walks import ContractError
 
 # (l, q) entries each route keeps; `limit --check limit-kraw` asks for
-# C(q + 3, 4) degrees, 210 at q = 7
+# C(q + 3, 4) degrees, 330 at q = 8
 _ROUTE_CACHE = 512
 # gathered Hermite values per chunk of route B's points (512 KiB)
 _GATHER_ENTRIES = 2**16
@@ -60,7 +61,8 @@ def hermite_table(max_k: int, x, q: int) -> np.ndarray:
     if max_k >= 1:
         out[1] = x
     for j in range(1, max_k):
-        out[j + 1] = x * out[j] - (j / q) * out[j - 1]
+        np.multiply(x, out[j], out=out[j + 1, ...])  # a view at 0-d x too
+        out[j + 1] -= (j / q) * out[j - 1]
     return out
 
 
@@ -408,3 +410,67 @@ def transform_field_cov_closed(omega, psi, spec: PointProcessSpec
         t += 1
     bound = (1.0 - mass) * math.exp(float(np.sum(np.abs(u))))
     return complex(pref * acc), float(abs(pref) * bound)
+
+
+def check_table(check: str, q: int, alpha: float, mc: int | None, seed: int
+                ) -> tuple[dict, float | None]:
+    """The table ``check`` and the statistic ``--tol`` judges (None for
+    transform and green-limit).  hermite reads q; limit-kraw q and seed;
+    transform q, mc (None: 200 000) and seed; green-limit alpha at q = 2;
+    field-transform q and alpha."""
+    rng = np.random.default_rng(seed)
+    if check == "hermite":
+        stat = hermite_orthogonality_residual(q)
+        result = {"max_residual": stat}
+    elif check == "limit-kraw":
+        # route B's kept expansion runs one DP per degree, whatever the
+        # points: 4 passes, q steps each, over a 5^(q-1) box (past q = 65,
+        # 5^64 reads "more than 2^64")
+        steps = 4 * q * math.comb(q + 3, 4)
+        budget(f"limit-kraw at q={q}", steps=steps,
+               touched=steps * 5 ** min(q - 1, 64))
+        stat = 0.0
+        for _ in range(10):
+            m = full_type_vector(rng.standard_normal(q - 1), q)
+            for l in degree_indices(q, 5, 4):
+                stat = max(stat, abs(limit_krawtchouk_series(m, l, q)
+                                     - limit_krawtchouk_hermite(m, l, q)))
+        result = {"max_route_gap": stat}
+    elif check == "transform":
+        degrees = degree_indices(q, 3, 2)
+        omega = np.zeros(q)
+        omega[1:] = rng.standard_normal(q - 1)
+        checks = transform_identity(omega, degrees, q, mc or 200_000, seed)
+        rows = [{"l": list(l), "mc": [est.real, est.imag],
+                 "closed": [rhs.real, rhs.imag], "stderr": se,
+                 "pass": bool(abs(est - rhs) <= 4.0 * se + 1e-12)}
+                for l, (est, rhs, se) in zip(degrees, checks)]
+        result, stat = {"omega": omega.tolist(), "rows": rows}, None
+    elif check == "green-limit":
+        spec = lazy_spec(2, alpha, [0.2, 0.4])
+        kap = lambda l: kappa(spec, l)
+        lam = lambda l: y_moment(spec, l)
+        rows = []
+        for d in (40, 80, 160):
+            delta = int(round(0.3 * math.sqrt(d)))
+            m = (d // 2 + delta, d // 2 - delta)
+            meff = np.array([(m[0] - d / 2) / math.sqrt(d)])
+            fin = scaled_green_finite_d(kap, alpha, 2, d, m, m, max_degree=6)
+            lim = limit_green_density(meff, meff, lam, 2, 6)
+            rows.append({"d": d, "finite": fin, "limit": lim,
+                         "ratio": fin / lim})
+        result, stat = {"rows": rows}, None
+    else:  # field-transform
+        spec = lazy_spec(q, alpha, [0.2, 0.4])
+        omega = np.zeros(q)
+        psi = np.zeros(q)
+        omega[1] = 0.3
+        psi[1] = 0.5
+        # the series route enumerates its degrees first: large q stops there
+        b, tail = transform_field_cov_series(omega, psi, spec, 12)
+        a, bound = transform_field_cov_closed(omega, psi, spec)
+        stat = abs(a - b)
+        result = {"closed": [a.real, a.imag], "series": [b.real, b.imag],
+                  "route_gap": stat, "series_tail": tail,
+                  "closed_truncation": bound}
+    return {"check": check, **result}, stat

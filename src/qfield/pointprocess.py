@@ -27,9 +27,9 @@ import numpy as np
 
 from . import _mc
 from .lattice import RangeError
-from .walks import (IncrementLaw, KillingLaw, _check_degree, _check_pmf,
-                    _draw_mixture, lazy_walk, pmf_from_xi, xi_powers,
-                    xi_transform)
+from .walks import (PMF_TOL, IncrementLaw, KillingLaw, _check_degree,
+                    _check_pmf, _draw_mixture, lazy_walk, pmf_from_xi,
+                    xi_powers, xi_transform)
 
 
 @dataclass
@@ -61,7 +61,7 @@ class PointProcessSpec:
     def __post_init__(self):
         self.killing()
         total = sum(a.weight for a in self.atoms)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > PMF_TOL:
             raise RangeError(f"atom weights sum to {total!r}, not 1")
         self.q = len(self.atoms[0].pmf)
         if any(len(a.pmf) != self.q for a in self.atoms):

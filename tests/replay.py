@@ -90,6 +90,18 @@ EDGE_ARGVS = [
     ["limit", "--check", "transform", "--q", "3", "--mc", "20000",
      "--seed", "1"],
     ["limit", "--check", "green-limit", "--alpha", "0.3"],
+    # what --tol judges in each limit table
+    ["limit", "--check", "hermite", "--q", "4", "--tol", "1e-10"],
+    ["limit", "--check", "limit-kraw", "--q", "3", "--seed", "2",
+     "--tol", "1e-9"],
+    ["limit", "--check", "transform", "--q", "2", "--mc", "5000",
+     "--seed", "1", "--tol", "1e-3"],
+    ["limit", "--check", "green-limit", "--alpha", "0.5", "--tol", "0.1"],
+    ["limit", "--check", "field-transform", "--q", "3", "--alpha", "0.5",
+     "--tol", "1e-6"],
+    # the largest limit-kraw q inside the step budget, and the first past it
+    ["limit", "--check", "limit-kraw", "--q", "8"],
+    ["limit", "--check", "limit-kraw", "--q", "9"],
     # the largest JSON lists inside the budgets, and the first past them
     ["eigen", "--law", _UNIFORM.format(q=2, d=18)],
     ["green", "--law", _UNIFORM.format(q=2, d=19), "--alpha", "0.5",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfield import _mc, cli, walks
+from qfield import _mc, cli, limits, walks
 
 LAZY_LAW = json.dumps({
     "variant": "definetti_mixture", "q": 2, "d": 2,
@@ -695,13 +695,46 @@ def _traced_main(argv):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("q", ["16", "400"])
+@pytest.mark.parametrize("q", ["9", "16", "400"])
 def test_limit_kraw_refuses_a_large_q_before_building(q):
     code, err, peak = _traced_main(["limit", "--check", "limit-kraw",
                                     "--q", q])
     assert code == 2
     assert f"config error: limit-kraw at q={q}: needs" in err
     assert peak < 2**22, peak
+
+
+def test_limit_kraw_at_q8_is_inside_the_budget(monkeypatch):
+    # route B runs one DP per degree, so q = 8 is charged 816225 steps; the
+    # routes themselves take seconds there, so both are stubbed
+    monkeypatch.setattr(limits, "limit_krawtchouk_series", lambda m, l, q: 0j)
+    monkeypatch.setattr(limits, "limit_krawtchouk_hermite", lambda m, l, q: 0j)
+    code, out, err = run_main(["limit", "--check", "limit-kraw", "--q", "8"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["max_route_gap"] == 0.0
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["hermite", "--q", "3"], "max_residual"),
+    (["limit-kraw", "--q", "3", "--seed", "1"], "max_route_gap"),
+    (["field-transform", "--q", "2", "--alpha", "0.6"], "route_gap"),
+    (["transform", "--q", "2", "--mc", "2000", "--seed", "3"], None),
+    (["green-limit", "--alpha", "0.5"], None),
+])
+def test_limit_tol_judges_each_tables_headline_statistic(argv, key):
+    def result(*tol):
+        code, out, err = run_main(["limit", "--check", *argv, *tol])
+        assert code == 0, err
+        return json.loads(out)["result"]
+
+    if key is None:
+        assert result("--tol", "1e-300").keys() == result().keys()
+        return
+    stat = result()[key]
+    at = result("--tol", repr(stat))
+    below = result("--tol", repr(math.nextafter(stat, -math.inf)))
+    assert (at[key], at["tol"], at["within_tol"]) == (stat, stat, True)
+    assert below[key] == stat and below["within_tol"] is False
 
 
 def test_verify_refuses_a_dense_p_over_budget_before_any_check(monkeypatch):

@@ -53,6 +53,23 @@ def test_hermite_is_the_table_recurrence_bit_for_bit(q):
         limits.hermite_chebycheff(-1, 0.3, q)
 
 
+@pytest.mark.parametrize("q, n, k", [(2, 1000, 8), (4, 400_000, 4),
+                                     (7, 5000, 6)])
+def test_hermite_table_builds_each_row_with_one_temporary(q, n, k):
+    m = limits.sample_type_gaussian(q, n, np.random.default_rng(q))
+    tracemalloc.start()
+    try:
+        table = limits.hermite_table(k, m, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for j in range(k + 1):
+        assert table[j].tobytes() == _hermite_recurrence(j, m, q).tobytes()
+    # the table and one (n, q) temporary, where x * H_j - (j / q) H_{j-1}
+    # would hold two; 64 KiB for small objects
+    assert peak <= table.nbytes + m.nbytes + 2**16, (peak, table.nbytes)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hermite_orthogonality_quadrature(q):
     assert limits.hermite_orthogonality_residual(q) < 1e-10
@@ -116,13 +133,13 @@ def test_hermite_coefficients_take_one_dp(monkeypatch):
 
 def test_limit_krawtchouk_batch_peak_is_the_table_build():
     q, l, n = 4, (2, 1, 1), 400_000
-    # the (5, n, q) Hermite table, and either the two (n, q) temporaries of
-    # its build or, once they are freed, the (n,) complex output with one
+    # the (5, n, q) Hermite table, and either the one (n, q) temporary of
+    # its build or, once it is freed, the (n,) complex output with one
     # chunk's gathered values, products and terms; 64 KiB for small objects.
     # One (35, q, n) gather would add 448 MB.
     table = 5 * n * q * 8
     chunk = limits._GATHER_ENTRIES * (8 + 8 + 16)
-    bound = table + max(2 * n * q * 8, n * 16 + chunk) + 2**16
+    bound = table + max(n * q * 8, n * 16 + chunk) + 2**16
     m = limits.sample_type_gaussian(q, n, np.random.default_rng(0))
     limits.limit_krawtchouk_batch(m[:10], l, q)  # the expansion, kept
     tracemalloc.start()
