@@ -4,7 +4,8 @@ Every stochastic routine takes an explicit integer seed.  The draws are
 cut into blocks of ``BLOCK``; block i draws from its own substream
 ``SeedSequence(seed, spawn_key=(i,))`` and the blocks are joined in block
 order.  A worker count only decides how many threads run the blocks, so
-output never depends on it, nor on scheduling.
+output never depends on it, nor on scheduling.  A run is charged against
+the entry budget from its caller's row width before any block draws.
 """
 
 from __future__ import annotations
@@ -24,30 +25,30 @@ def run_chunked(
     seed: int,
     workers: int,
     draw: Callable[[np.random.Generator, int], np.ndarray],
+    row: int,
 ) -> np.ndarray:
     """``draw(rng, m)`` per block of ``total`` draws, joined along axis 0.
 
-    Block 0 draws first, from ``SeedSequence(seed).spawn(1)[0]``, and its
-    array sizes the whole run against the entry budget; one block returns
+    ``row`` is the entries of one draw, so ``total * row`` is charged
+    against the entry budget before any block runs; one block returns
     ``draw``'s array itself.
     """
     if total < 1 or workers < 1:
         raise RangeError(f"need total >= 1 and workers >= 1, "
                          f"got {total} and {workers}")
+    budget(f"{total} Monte-Carlo draws", entries=total * row)
     n_blocks = -(-total // BLOCK)
 
     def block(i: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         return draw(rng, min(BLOCK, total - i * BLOCK))
 
-    first = block(0)
-    budget(f"{total} Monte-Carlo draws", entries=first.size * total // min(BLOCK, total))
     if workers == 1 or n_blocks == 1:
-        rest = [block(i) for i in range(1, n_blocks)]
+        blocks = [block(i) for i in range(n_blocks)]
     else:
         with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            rest = list(pool.map(block, range(1, n_blocks)))
-    return first if n_blocks == 1 else np.concatenate([first, *rest])
+            blocks = list(pool.map(block, range(n_blocks)))
+    return blocks[0] if n_blocks == 1 else np.concatenate(blocks)
 
 
 def mean_and_stderr(samples: np.ndarray) -> tuple[complex, float]:

@@ -25,7 +25,7 @@ import numpy as np
 from . import _mc
 from .green import WrappedLaw, frequency_box, green_eigenvalues
 from .krawtchouk import kappa_getter, table
-from .lattice import (NumericalError, RangeError, budget, dft, size,
+from .lattice import (NumericalError, RangeError, dft, size,
                       state_type_counts, unrank)
 from .walks import IMAG_TOL, Spectrum
 
@@ -57,13 +57,11 @@ def sample_field(spec: Spectrum, alpha: float, seed: int,
     """Draw fields; deterministic given the seed, whatever ``workers``."""
     weights = synthesis_weights(spec, alpha)
     n = size(spec.q, spec.d)
-    # a row has q^d entries, so even block 0 can exceed the budget alone
-    budget(f"{n_samples} fields of {n} points", entries=n_samples * n)
 
     def draw(rng, m):
         return rng.standard_normal((m, n))
 
-    driver = _mc.run_chunked(n_samples, seed, workers, draw)
+    driver = _mc.run_chunked(n_samples, seed, workers, draw, n)
     values = dft(driver * weights[None, :], spec.q, spec.d, inverse=True)
     return FieldSample(values, driver, alpha)
 
@@ -107,7 +105,7 @@ def sample_count_field(kappas, q: int, d: int, alpha: float, seed: int,
     lam = green_eigenvalues(kap.real, alpha)
     weights = np.sqrt(lam / tab.h_inv)
     driver = _mc.run_chunked(n_samples, seed, 1, lambda rng, m:
-                             rng.standard_normal((m, len(tab.degrees))))
+                             rng.standard_normal((m, len(kap))), len(kap))
     values = (driver * weights[None, :]) @ tab.values / q ** (d / 2.0)
     return CountFieldSample(values, driver, tab.counts, tab.degrees, alpha)
 
@@ -164,7 +162,7 @@ def sample_torus_field(law: WrappedLaw, alpha: float, radius: int, seed: int,
     weights = np.sqrt(lam)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     driver = _mc.run_chunked(n_samples, seed, 1, lambda rng, m:
-                             rng.standard_normal((m, len(freqs))))
+                             rng.standard_normal((m, len(freqs))), len(freqs))
     basis = np.exp(2j * np.pi * grid @ freqs.T)  # (n_grid, n_freqs)
     values = (driver * weights[None, :]) @ basis.T
     return TorusFieldSample(values, driver, grid, freqs, alpha)

@@ -74,18 +74,22 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     (n, q) array: shape (n_degrees,) or (n, n_degrees), whose transpose is
     C-contiguous.  Entries with |l| > sum(m) come out exactly 0.
 
-    All rows run through the same DP passes, truncated at the largest
-    degree on each axis.  Before digit j the rows are put in order of
-    m[j], most first, so pass a of digit j is one copy and q - 1 shifted
-    adds on the leading rows with m[j] > a: each row sees the operations
-    of its own DP, and its values equal that DP bit for bit.  Rows go in
-    chunks of at most ``_CHUNK_ENTRIES`` coefficients, or of one row where
-    its box alone is larger.
+    All rows run through the same DP passes over one box, truncated at the
+    largest degree on each axis, that keeps only the axes of extent > 1
+    (numpy arrays have at most 64).  Before digit j the rows are put in
+    order of m[j], most first, so pass a of digit j is one copy and one
+    shifted add per box axis on the leading rows with m[j] > a: each row
+    sees the operations of its own DP, and its values equal that DP bit
+    for bit.  Rows go in chunks of at most ``_CHUNK_ENTRIES``
+    coefficients, or of one row where its box alone is larger.
     """
     m = _check_counts(m, q, ndims=(1, 2))
     rows = m.reshape(-1, q)
     degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, q - 1)
-    box = tuple((np.max(degrees, axis=0, initial=0) + 1).tolist())
+    top = np.max(degrees, axis=0, initial=0).tolist()
+    # all-zero degrees keep w_1's axis, of extent 1
+    keep = [k for k in range(q - 1) if top[k]] or [0]
+    box = tuple(top[k] + 1 for k in keep)
     n = math.prod(box)
     if len(rows):
         passes = int(rows.sum(axis=1).max())
@@ -95,18 +99,18 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
                steps=passes * q, touched=passes * q * n)
     # degree-major, so that the (n_degrees, n) transpose is C-contiguous
     out = np.empty((len(degrees), len(rows)), dtype=complex).T
-    # multiplying by w_k shifts the coefficients one step up box axis k - 1,
-    # axis k of the (rows,) + box array
-    shifts = [(k, (slice(None),) * k + (slice(1, None),),
-               (slice(None),) * k + (slice(0, -1),))
-              for k in range(1, q) if box[k - 1] > 1]
+    # multiplying by w_k shifts the coefficients one step up w_k's axis,
+    # axis a of the (rows,) + box array
+    shifts = [(k + 1, (slice(None),) * a + (slice(1, None),),
+               (slice(None),) * a + (slice(0, -1),))
+              for a, k in enumerate(keep, start=1) if top[k]]
     theta = roots(q)
-    picks = (slice(None),) + tuple(degrees.T)
+    picks = (slice(None),) + tuple(degrees[:, k] for k in keep)
     step = max(1, _CHUNK_ENTRIES // n)
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
         coef = np.zeros((len(chunk),) + box, dtype=complex)
-        coef[(slice(None),) + (0,) * (q - 1)] = 1.0
+        coef[(slice(None),) + (0,) * len(box)] = 1.0
         held = list(range(len(chunk)))  # coef row p holds chunk row held[p]
         for j, column in enumerate(chunk.T.tolist()):
             # the rows by m[j], most first: pass a of digit j runs on the
@@ -360,7 +364,7 @@ def lump_by_type(matrix: np.ndarray, q: int, d: int) -> np.ndarray:
     The brute-force oracle that the spectral count kernel must match.
     """
     counts, classes = state_type_counts(q, d)
-    reps = [int(np.nonzero(classes == i)[0][0]) for i in range(len(counts))]
+    reps = np.unique(classes, return_index=True)[1]
     lumped = np.zeros((len(counts), len(counts)))
     for mi, x in enumerate(reps):
         lumped[mi] = np.bincount(classes, weights=matrix[x].real,

@@ -159,17 +159,14 @@ def multinomial_pmf(m, d: int, q: int) -> float:
 
 
 def state_type_counts(q: int, d: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Count vectors plus the map rank -> class index: one bincount tally
-    of every point's digits, each row looked up among the count vectors."""
+    """Count vectors plus the map rank -> class index.  A point's digits in
+    descending order rank lowest in its class, and the count vectors in
+    lex order are the classes by that lowest rank, highest first."""
     counts = count_vectors(q, d)
-    states = all_states(q, d)
-    n = states.shape[0]
-    budget(f"the ({n}, {q}) type tally", entries=n * q)
-    tally = np.bincount((states + q * np.arange(n)[:, None]).ravel(),
-                        minlength=n * q).reshape(n, q)
-    lookup = {m: i for i, m in enumerate(counts)}
-    return counts, np.fromiter(map(lookup.__getitem__, map(tuple, tally.tolist())),
-                               dtype=np.int64, count=n)
+    states = np.sort(all_states(q, d), axis=1)
+    lowest = states @ q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    reps, inverse = np.unique(lowest, return_inverse=True)
+    return counts, len(reps) - 1 - inverse
 
 
 def roots(q: int) -> np.ndarray:

@@ -250,7 +250,7 @@ def transform_identity(omega, degrees, q: int, n_samples: int, seed: int
     omega = np.asarray(omega, dtype=float)
     degrees = [tuple(int(v) for v in l) for l in degrees]
     m = _mc.run_chunked(n_samples, seed, 1,
-                        lambda rng, k: sample_type_gaussian(q, k, rng))
+                        lambda rng, k: sample_type_gaussian(q, k, rng), q)
     phase = np.exp(1j * m @ omega)
     table = hermite_table(max((sum(l) for l in degrees), default=0), m, q)
     theta = roots(q)

@@ -129,7 +129,7 @@ def _horizon_product_mc(spec: PointProcessSpec, factors: np.ndarray,
         counts = rng.multinomial(horizons, spec.weights())
         return np.prod(factors[None, :] ** counts, axis=1)
 
-    return _mc.mean_and_stderr(_mc.run_chunked(n_samples, seed, workers, draw))
+    return _mc.mean_and_stderr(_mc.run_chunked(n_samples, seed, workers, draw, 1))
 
 
 def y_moment_mc(spec: PointProcessSpec, l, n_samples: int, seed: int,
@@ -182,7 +182,7 @@ def y_moment_mc_points(spec: PointProcessSpec, l, n_samples: int, seed: int,
                                                  boundaries[nonempty])
         return samples
 
-    return _mc.mean_and_stderr(_mc.run_chunked(n_samples, seed, 1, draw))
+    return _mc.mean_and_stderr(_mc.run_chunked(n_samples, seed, 1, draw, 1))
 
 
 def _laplace_factors(spec: PointProcessSpec, varphi) -> np.ndarray:

@@ -651,7 +651,7 @@ def simulate_killed(
         pos %= law.q
         return pos
 
-    return _mc.run_chunked(n_walks, seed, workers, draw)
+    return _mc.run_chunked(n_walks, seed, workers, draw, law.d)
 
 
 def unit_rate_embedding(law: IncrementLaw) -> AtomicMeasure:

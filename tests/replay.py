@@ -115,6 +115,14 @@ EDGE_ARGVS = [
     ["limit", "--check", "limit-kraw", "--q", "16"],
     ["mc-green", "--law", _UNIFORM.format(q=2, d=3), "--alpha", "0.999999999",
      "--x0", "0,0,0", "--n", "10", "--seed", "1"],
+    ["limit", "--check", "transform", "--q", "90"],
+    # more than 64 types, one past numpy's array axes per Krawtchouk w_k
+    ["kappa", "--law", _UNIFORM.format(q=70, d=1),
+     "--l", ",".join(["1"] + ["0"] * 68)],
+    ["krawtchouk", "--q", "70", "--d", "1", "--l", ",".join(["1"] + ["0"] * 68),
+     "--m", ",".join(["1"] + ["0"] * 69)],
+    ["verify", "--q", "70", "--d", "1"],
+    ["limit", "--check", "transform", "--q", "66"],
 ]
 
 

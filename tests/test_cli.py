@@ -806,6 +806,29 @@ def test_over_budget_argv_exits_2_at_once(argv):
                      r"the (entry|step) budget of \d+$", line), line
 
 
+# q >= 65 types: one Krawtchouk box axis per k = 1..q-1 would pass numpy's
+# 64 array axes
+_DEGREE_69 = ",".join(["1"] + ["0"] * 68)
+PAST_64_AXES = {
+    "kappa-70": ["kappa", "--law", '{"variant":"uniform","q":70,"d":1}',
+                 "--l", _DEGREE_69],
+    "krawtchouk-70": ["krawtchouk", "--q", "70", "--d", "1", "--l",
+                      _DEGREE_69, "--m", ",".join(["1"] + ["0"] * 69)],
+    "verify-70": ["verify", "--q", "70", "--d", "1"],
+    "limit-transform-66": ["limit", "--check", "transform", "--q", "66"],
+}
+
+
+@pytest.mark.parametrize("argv", PAST_64_AXES.values(), ids=PAST_64_AXES.keys())
+def test_more_than_64_types_exit_without_a_traceback(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode in (0, 2), proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("config error: "), line
+
+
 def test_mc_green_refuses_its_endpoint_pmf_before_any_walk(monkeypatch):
     # the list of q^d = 2^20 floats is refused from (q, d), not after 800000
     # killed walks

@@ -268,12 +268,35 @@ def test_single_sample_has_no_standard_error():
         fields.covariance_stderr(np.ones((0, 4)))
 
 
-def test_sample_field_budgets_every_field_before_the_first_draw(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a block was drawn before the entry count")
+def _record_draws(monkeypatch):
+    """The block sizes every ``run_chunked`` call of ``fields`` draws."""
+    drawn, run_chunked = [], fields._mc.run_chunked
 
-    monkeypatch.setattr(fields._mc, "run_chunked", refuse)
+    def recording(total, seed, workers, draw, row):
+        def record(rng, m):
+            drawn.append(m)
+            return draw(rng, m)
+        return run_chunked(total, seed, workers, record, row)
+
+    monkeypatch.setattr(fields._mc, "run_chunked", recording)
+    return drawn
+
+
+def test_sample_field_budgets_every_field_before_the_first_draw(monkeypatch):
+    drawn = _record_draws(monkeypatch)
     spec = walks.UniformLaw(2, 3).spectrum()
-    with pytest.raises(lattice.RangeError, match="100000000 fields of 8 "
-                       "points: needs 800000000 entries"):
+    with pytest.raises(lattice.RangeError, match="100000000 Monte-Carlo "
+                       "draws: needs 800000000 entries"):
         fields.sample_field(spec, 0.5, seed=1, n_samples=10**8)
+    assert drawn == []
+
+
+def test_sample_count_field_draws_nothing_over_the_budget(monkeypatch):
+    # 496 degrees at (3, 30), so one sample past the entry budget's rows
+    drawn = _record_draws(monkeypatch)
+    n_samples = lattice.ENTRY_BUDGET // 496 + 1
+    with pytest.raises(lattice.RangeError, match=f"{n_samples} Monte-Carlo "
+                       f"draws: needs {496 * n_samples} entries"):
+        fields.sample_count_field(lambda l: 0.5, 3, 30, 0.5, seed=1,
+                                  n_samples=n_samples)
+    assert drawn == []

@@ -351,7 +351,8 @@ def test_transform_identity_cases():
 def _transform_reference(omega, l, q, n_samples, seed):
     """One (omega, l) as a single-degree transform_identity computed it."""
     m = _mc.run_chunked(n_samples, seed, 1,
-                        lambda rng, k: limits.sample_type_gaussian(q, k, rng))
+                        lambda rng, k: limits.sample_type_gaussian(q, k, rng),
+                        q)
     samples = np.exp(1j * m @ omega) * limits.limit_krawtchouk_batch(m, l, q)
     se = math.sqrt((samples.real.var(ddof=1) + samples.imag.var(ddof=1))
                    / n_samples)

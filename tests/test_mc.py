@@ -23,7 +23,7 @@ def test_one_block_keeps_the_first_substream():
     seed = 42
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     want = rng.standard_normal((_mc.BLOCK, 2))
-    assert np.array_equal(_mc.run_chunked(_mc.BLOCK, seed, 1, _normals), want)
+    assert np.array_equal(_mc.run_chunked(_mc.BLOCK, seed, 1, _normals, 2), want)
 
 
 def test_blocks_are_keyed_by_index_and_joined_in_order():
@@ -31,19 +31,19 @@ def test_blocks_are_keyed_by_index_and_joined_in_order():
     want = np.concatenate([_normals(_block_rng(7, i), m)
                            for i, m in enumerate(sizes)])
     for workers in (1, 2, 3, 4, 9):
-        got = _mc.run_chunked(SPAN, 7, workers, _normals)
+        got = _mc.run_chunked(SPAN, 7, workers, _normals, 2)
         assert np.array_equal(got, want), workers
 
 
 def test_one_block_returns_the_drawn_array():
     drawn = np.zeros((5, 2))
-    assert _mc.run_chunked(5, 0, 4, lambda rng, m: drawn) is drawn
+    assert _mc.run_chunked(5, 0, 4, lambda rng, m: drawn, 2) is drawn
 
 
 @pytest.mark.parametrize("total, workers", [(0, 1), (-3, 1), (10, 0)])
 def test_no_draws_or_no_workers_is_a_range_error(total, workers):
     with pytest.raises(lattice.RangeError):
-        _mc.run_chunked(total, 0, workers, _normals)
+        _mc.run_chunked(total, 0, workers, _normals, 2)
 
 
 def test_pool_and_generators_are_bounded_by_the_block_count(monkeypatch):
@@ -71,13 +71,13 @@ def test_pool_and_generators_are_bounded_by_the_block_count(monkeypatch):
 
     monkeypatch.setattr(_mc, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(_mc.np.random, "default_rng", counting_rng)
-    _mc.run_chunked(10, 0, 10_000, _normals)
+    _mc.run_chunked(10, 0, 10_000, _normals, 2)
     assert pools == [] and len(rngs) == 1
-    serial = _mc.run_chunked(SPAN, 0, 1, _normals)
+    serial = _mc.run_chunked(SPAN, 0, 1, _normals, 2)
     assert pools == [] and len(rngs) == 5
-    pooled = _mc.run_chunked(SPAN, 0, 10_000, _normals)
+    pooled = _mc.run_chunked(SPAN, 0, 10_000, _normals, 2)
     assert pools == [4] and len(rngs) == 9
-    _mc.run_chunked(SPAN, 0, 3, _normals)
+    _mc.run_chunked(SPAN, 0, 3, _normals, 2)
     assert pools == [4, 3]
     assert np.array_equal(pooled, serial)
 
@@ -124,7 +124,7 @@ def test_point_process_estimates_are_thread_invariant():
         spec, [0.7, 0.3], SPAN, seed=12, workers=w))
 
 
-def test_block_zero_sizes_the_whole_run_before_any_other_block():
+def test_an_over_budget_run_draws_no_block():
     drawn = []
 
     def draw(rng, m):
@@ -132,7 +132,8 @@ def test_block_zero_sizes_the_whole_run_before_any_other_block():
         return np.zeros((m, 2))
 
     total = lattice.ENTRY_BUDGET // 2 + 1  # one row past the entry budget
-    with pytest.raises(lattice.RangeError, match=f"{total} Monte-Carlo draws: "
-                       f"needs {2 * total} entries"):
-        _mc.run_chunked(total, 0, 2, draw)
-    assert drawn == [_mc.BLOCK]
+    for workers in (1, 2):
+        with pytest.raises(lattice.RangeError, match=f"{total} Monte-Carlo "
+                           f"draws: needs {2 * total} entries"):
+            _mc.run_chunked(total, 0, workers, draw, 2)
+    assert drawn == []

@@ -263,7 +263,7 @@ def _killed_reference(law, x0, killing, seed, n_walks, workers):
             alive[active] -= 1
         return pos
 
-    return _mc.run_chunked(n_walks, seed, workers, draw)
+    return _mc.run_chunked(n_walks, seed, workers, draw, law.d)
 
 
 SAMPLED_LAWS = {
