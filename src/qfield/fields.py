@@ -97,6 +97,9 @@ def sample_count_field(kappas, q: int, d: int, alpha: float, seed: int,
     Covariance is the grouped Green display; the l = 0 term contributes
     the constant q^(-d/2) g_{l0}.  Requires real grouped eigenvalues.
     """
+    row = math.comb(d + q - 1, q - 1)  # degrees; drawn before the table
+    driver = _mc.run_chunked(n_samples, seed, 1, lambda rng, m:
+                             rng.standard_normal((m, row)), row)
     tab = table(q, d)
     get = kappa_getter(kappas)
     kap = np.array([complex(get(l)) for l in tab.degrees])
@@ -104,8 +107,6 @@ def sample_count_field(kappas, q: int, d: int, alpha: float, seed: int,
         raise ReversibilityError("count field requires real grouped eigenvalues")
     lam = green_eigenvalues(kap.real, alpha)
     weights = np.sqrt(lam / tab.h_inv)
-    driver = _mc.run_chunked(n_samples, seed, 1, lambda rng, m:
-                             rng.standard_normal((m, len(kap))), len(kap))
     values = (driver * weights[None, :]) @ tab.values / q ** (d / 2.0)
     return CountFieldSample(values, driver, tab.counts, tab.degrees, alpha)
 

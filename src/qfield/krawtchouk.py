@@ -4,12 +4,12 @@ Q_l(m) is the coefficient of w_1^l[1] .. w_{q-1}^l[q-1] in
 
     prod_{j=0}^{q-1} (1 + sum_{k=1}^{q-1} w_k theta_k^j)^m[j],
 
-theta_k = exp(2*pi*i*k/q), extracted by one dynamic program (DP) that
-takes a batch of count vectors at once: it truncates multi-degrees
-componentwise at the largest degree asked for on each axis, so the |m|
-passes of cost O(q * prod(L[k]+1)) that each m needs yield Q_l(m) for
-every l in the box L, and every m of a batch runs through the same
-passes.  The inverse squared norms
+theta_k = exp(2*pi*i*k/q), extracted by one dynamic program (DP) over a
+batch of count vectors: truncated componentwise at the largest degree
+asked for on each axis, the |m| passes of q steps over the box L that
+each m needs yield Q_l(m) for every l in L.  :func:`dp_budget` charges
+that plan, for the whole batch in the DP and for every caller that
+refuses its DPs ahead.  The inverse squared norms
 h_l^-1 = d!/((d-|l|)! prod l[k]!) are computed in integer arithmetic.
 
 These polynomials diagonalize the type-count chain of walks with
@@ -68,6 +68,14 @@ def _check_counts(m, q: int, ndims=(1,)) -> np.ndarray:
 _CHUNK_ENTRIES = 2**13
 
 
+def dp_budget(what: str, rows: int, passes: int, q: int, box: int,
+              entries: int = 0) -> None:
+    """Refuse a DP plan: ``rows`` count vectors, ``passes`` passes each of
+    one copy and q - 1 shifted adds, every step touching ``box`` entries."""
+    steps = rows * passes * q
+    budget(what, entries=entries, steps=steps, touched=steps * box)
+
+
 def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     """Q_l(m) for every l in ``degrees`` (length-(q-1) nonnegative degree
     indices), for one count vector m of shape (q,) or for each row of an
@@ -93,10 +101,8 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     n = math.prod(box)
     if len(rows):
         passes = int(rows.sum(axis=1).max())
-        # per row, two coefficient arrays; each pass is a copy and q - 1
-        # shifted adds
-        budget(f"the Krawtchouk DP at q={q}, |m|={passes}", entries=2 * n,
-               steps=passes * q, touched=passes * q * n)
+        dp_budget(f"the Krawtchouk DP at q={q}, |m|={passes}", len(rows),
+                  passes, q, n, entries=2 * n)
     # degree-major, so that the (n_degrees, n) transpose is C-contiguous
     out = np.empty((len(degrees), len(rows)), dtype=complex).T
     # multiplying by w_k shifts the coefficients one step up w_k's axis,
@@ -200,16 +206,13 @@ def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
 
 
 def _check_count_budget(q: int, d: int, max_degree: int | None) -> None:
-    """Exact checks build a table of the C(L+q-1, q-1) degrees, L =
-    min(max_degree, d), by all C(d+q-1, q-1) count vectors, from one batched
-    DP that runs d passes over an (L+1)^(q-1) box for each count vector:
-    refuse it before building anything."""
+    """Refuse, before anything is built, the (C(L+q-1, q-1), n) table of an
+    exact check, L = min(max_degree, d), and its DP over n count vectors."""
     n = math.comb(d + q - 1, q - 1)
     cap = d if max_degree is None else max(0, min(max_degree, d))
     entries = n * math.comb(cap + q - 1, q - 1)
-    budget(f"{n} count vectors and {entries} table entries at q={q}, d={d}, "
-           f"degree <= {cap}", entries=entries, steps=n * d * q,
-           touched=n * d * q * (cap + 1) ** (q - 1))
+    dp_budget(f"{n} count vectors and {entries} table entries at q={q}, "
+              f"d={d}, degree <= {cap}", n, d, q, (cap + 1) ** (q - 1), entries)
 
 
 def orthogonality_residual(q: int, d: int, max_degree: int | None = None,
@@ -265,9 +268,8 @@ def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float
 
 def route_a_budget(q: int, d: int, l) -> None:
     """Refuse route A's DPs at degree l from (q, d) alone."""
-    n = math.comb(d + q - 1, q - 1) * d * q  # DP steps
-    budget(f"route A at q={q}, d={d}", steps=n,
-           touched=n * math.prod(v + 1 for v in l))
+    dp_budget(f"route A at q={q}, d={d}", math.comb(d + q - 1, q - 1), d, q,
+              math.prod(v + 1 for v in l))
 
 
 def kappa_route_counts(law: IncrementLaw, l) -> complex:
@@ -275,11 +277,9 @@ def kappa_route_counts(law: IncrementLaw, l) -> complex:
     l = _check_degree(l, law.q)
     route_a_budget(law.q, law.d, l)
     h_l = 1.0 / scale_constant_inv(l, law.d)
-    law_counts = law.count_law()
-    values = krawtchouk_values(list(law_counts), [l], law.q)[:, 0].tolist()
-    mean = sum(prob * value
-               for prob, value in zip(law_counts.values(), values))
-    return complex(h_l * mean)
+    counts = law.count_law()
+    values = krawtchouk_values(list(counts), [l], law.q)[:, 0].tolist()
+    return complex(h_l * sum(p * v for p, v in zip(counts.values(), values)))
 
 
 def kappa_route_transform(law: IncrementLaw, l) -> complex:

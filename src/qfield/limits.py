@@ -30,7 +30,8 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from . import _mc
 from .green import grouped_sum
-from .krawtchouk import degree_indices, kappa_getter, krawtchouk_values
+from .krawtchouk import (degree_indices, dp_budget, kappa_getter,
+                         krawtchouk_values)
 from .lattice import RangeError, budget, count_vectors, multinomial_pmf, roots
 from .pointprocess import PointProcessSpec, kappa, lazy_spec, y_moment
 from .walks import ContractError
@@ -180,6 +181,12 @@ def limit_krawtchouk_hermite(m_full, l, q: int) -> complex:
     return complex(limit_krawtchouk_batch(m_full, l, q)[0])
 
 
+def route_b_gathers(l, q: int, n: int) -> int:
+    """Values :func:`limit_krawtchouk_batch` gathers at n points: q for each
+    of at most C(|l|+q-1, q-1) coefficients (exactly that many to |l| = 2)."""
+    return math.comb(sum(l) + q - 1, q - 1) * q * n
+
+
 def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int,
                            table: np.ndarray | None = None) -> np.ndarray:
     """Route-B evaluation over many full type vectors (n, q).
@@ -249,6 +256,8 @@ def transform_identity(omega, degrees, q: int, n_samples: int, seed: int
     """
     omega = np.asarray(omega, dtype=float)
     degrees = [tuple(int(v) for v in l) for l in degrees]
+    budget(f"the route-B gathers of {n_samples} draws at q={q}",
+           touched=sum(route_b_gathers(l, q, n_samples) for l in degrees))
     m = _mc.run_chunked(n_samples, seed, 1,
                         lambda rng, k: sample_type_gaussian(q, k, rng), q)
     phase = np.exp(1j * m @ omega)
@@ -348,6 +357,9 @@ def transform_field_cov_series(omega, psi, spec: PointProcessSpec,
     Returns (value, tail estimate over degrees L+1, L+2).
     """
     omega, psi = _check_transform_args(omega, psi, spec.q)
+    # one step per inner-loop iteration: q - 1 for each l with |l| <= L + 2
+    budget(f"the transform-field series at q={spec.q}", steps=(spec.q - 1)
+           * math.comb(max_degree + spec.q + 1, spec.q - 1))
     degrees = degree_indices(spec.q, max_degree + 1, max_degree)
     u = _transform_couplings(omega, psi, spec.q)
     full = PointProcessSpec(spec.alpha, spec.atoms, 1.0)
@@ -424,11 +436,10 @@ def check_table(check: str, q: int, alpha: float, mc: int | None, seed: int
         result = {"max_residual": stat}
     elif check == "limit-kraw":
         # route B's kept expansion runs one DP per degree, whatever the
-        # points: 4 passes, q steps each, over a 5^(q-1) box (past q = 65,
-        # 5^64 reads "more than 2^64")
-        steps = 4 * q * math.comb(q + 3, 4)
-        budget(f"limit-kraw at q={q}", steps=steps,
-               touched=steps * 5 ** min(q - 1, 64))
+        # points: 4 passes over a 5^(q-1) box (past q = 65, 5^64 reads
+        # "more than 2^64")
+        dp_budget(f"limit-kraw at q={q}", math.comb(q + 3, 4), 4, q,
+                  5 ** min(q - 1, 64))
         stat = 0.0
         for _ in range(10):
             m = full_type_vector(rng.standard_normal(q - 1), q)
@@ -466,7 +477,6 @@ def check_table(check: str, q: int, alpha: float, mc: int | None, seed: int
         psi = np.zeros(q)
         omega[1] = 0.3
         psi[1] = 0.5
-        # the series route enumerates its degrees first: large q stops there
         b, tail = transform_field_cov_series(omega, psi, spec, 12)
         a, bound = transform_field_cov_closed(omega, psi, spec)
         stat = abs(a - b)

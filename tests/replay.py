@@ -116,6 +116,11 @@ EDGE_ARGVS = [
     ["mc-green", "--law", _UNIFORM.format(q=2, d=3), "--alpha", "0.999999999",
      "--x0", "0,0,0", "--n", "10", "--seed", "1"],
     ["limit", "--check", "transform", "--q", "90"],
+    # the dual DP charged for all its rows: inside the budget, and past it
+    ["krawtchouk", "--q", "8", "--d", "7", "--check", "duality",
+     "--max-degree", "1"],
+    ["krawtchouk", "--q", "9", "--d", "6", "--check", "duality",
+     "--max-degree", "1"],
     # more than 64 types, one past numpy's array axes per Krawtchouk w_k
     ["kappa", "--law", _UNIFORM.format(q=70, d=1),
      "--l", ",".join(["1"] + ["0"] * 68)],

@@ -785,6 +785,11 @@ OVER_BUDGET = {
                        "--row", ",".join(["0"] * 20)],
     # 4096 count vectors of 4096 types: no recursion per type
     "verify-4096-1": ["verify", "--q", "4096", "--d", "1"],
+    # the dual DP: 9 rows of l^+ over a 7^8 box
+    "duality-9-6": ["krawtchouk", "--q", "9", "--d", "6", "--check",
+                    "duality", "--max-degree", "1"],
+    "transform-8": ["limit", "--check", "transform", "--q", "8"],
+    "field-transform-9": ["limit", "--check", "field-transform", "--q", "9"],
 }
 
 

@@ -292,7 +292,12 @@ def test_sample_field_budgets_every_field_before_the_first_draw(monkeypatch):
 
 
 def test_sample_count_field_draws_nothing_over_the_budget(monkeypatch):
-    # 496 degrees at (3, 30), so one sample past the entry budget's rows
+    # 496 degrees at (3, 30), so one sample past the entry budget's rows,
+    # refused before the table's DP
+    def no_table(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(fields, "table", no_table)
     drawn = _record_draws(monkeypatch)
     n_samples = lattice.ENTRY_BUDGET // 496 + 1
     with pytest.raises(lattice.RangeError, match=f"{n_samples} Monte-Carlo "

@@ -1,10 +1,11 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qfield import hamiltonian, lattice, walks
+from qfield import green, hamiltonian, lattice, limits, walks
 from qfield import krawtchouk as kw
 
 
@@ -430,3 +431,74 @@ def test_degree_indices_are_budgeted_before_they_are_enumerated():
             kw.degree_indices(400, 5, 4)
 
     assert _traced_peak(refused) < 2**20
+
+
+def _record_charges_and_dps(monkeypatch):
+    """Every ``lattice.budget`` call as ("charge", touched), and every
+    Krawtchouk DP run as ("dp", rows * passes * q * box) when it starts and
+    ("done", 0) when it returns, in call order."""
+    events, charge, dp = [], lattice.budget, kw.krawtchouk_values
+
+    def recording_budget(what, entries=0, steps=0, touched=0):
+        events.append(("charge", touched))
+        return charge(what, entries, steps, touched)
+
+    def recording_dp(m, degrees, q):
+        rows = np.asarray(m).reshape(-1, q)
+        top = np.max(np.reshape(degrees, (-1, q - 1)), axis=0, initial=0)
+        events.append(("dp", len(rows) * int(rows.sum(axis=1).max())
+                       * q * math.prod((top + 1).tolist())))
+        out = dp(m, degrees, q)
+        events.append(("done", 0))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qfield"):
+            if getattr(module, "budget", None) is charge:
+                monkeypatch.setattr(module, "budget", recording_budget)
+            if getattr(module, "krawtchouk_values", None) is dp:
+                monkeypatch.setattr(module, "krawtchouk_values", recording_dp)
+    return events
+
+
+_LAW = walks.lazy_walk(3, 6, [0.3, 0.7])
+_WORK_CASES = {
+    "table": lambda: kw.table(4, 5, 3),
+    "orthogonality": lambda: kw.orthogonality_residual(3, 6, 4),
+    "duality": lambda: kw.max_duality_residual(4, 8, 4),
+    "route-a": lambda: kw.kappa_route_counts(_LAW, (2, 1)),
+    "route-b": lambda: kw.kappa_route_transform(_LAW, (2, 1)),
+    "green-grouped": lambda: green.green_grouped(
+        lambda l: 0.5, 3, 5, 0.4, (3, 1, 1), (1, 2, 2)),
+    "ct-grouped": lambda: kw.ct_grouped_eigenvalues(walks.AtomicMeasure(
+        np.array([[4, 0, 0], [2, 1, 1], [0, 3, 1]]), np.array([0.5, 0.3, 0.2])),
+        0.7, 3, 4),
+    "limit-kraw": lambda: limits.check_table("limit-kraw", 3, 0.5, None, 1),
+}
+
+
+@pytest.mark.parametrize("name", _WORK_CASES)
+def test_every_dp_is_charged_its_work_and_plans_charge_ahead(monkeypatch,
+                                                             name):
+    # a DP charges exactly its work while it runs; a charge outside every
+    # DP that touches entries is a plan, at least the next DP's work
+    limits._series_plan.cache_clear()
+    limits._hermite_expansion_coeffs.cache_clear()
+    events = _record_charges_and_dps(monkeypatch)
+    _WORK_CASES[name]()
+    work, inside, plans = [], None, []
+    for kind, amount in events:
+        if kind == "dp":
+            work.append(amount)
+            inside = []
+        elif kind == "done":
+            # one charge that touches entries, none for a DP of no passes
+            assert len(inside) <= 1 and sum(inside) == work[-1], events
+            inside = None
+        elif amount and inside is not None:
+            inside.append(amount)
+        elif amount:
+            plans.append((amount, len(work)))
+    assert bool(work) == (name != "route-b")  # route B runs no DP
+    for amount, n_before in plans:
+        assert work[n_before:] == [] or amount >= work[n_before], events
