@@ -205,14 +205,16 @@ def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
     return KrawtchoukTable(q, d, degrees, counts, values, h_inv)
 
 
-def _check_count_budget(q: int, d: int, max_degree: int | None) -> None:
+def _check_count_budget(q: int, d: int, max_degree: int | None) -> int:
     """Refuse, before anything is built, the (C(L+q-1, q-1), n) table of an
-    exact check, L = min(max_degree, d), and its DP over n count vectors."""
+    exact check, L = min(max_degree, d), and its DP over n count vectors;
+    return L."""
     n = math.comb(d + q - 1, q - 1)
     cap = d if max_degree is None else max(0, min(max_degree, d))
     entries = n * math.comb(cap + q - 1, q - 1)
     dp_budget(f"{n} count vectors and {entries} table entries at q={q}, "
               f"d={d}, degree <= {cap}", n, d, q, (cap + 1) ** (q - 1), entries)
+    return cap
 
 
 def orthogonality_residual(q: int, d: int, max_degree: int | None = None,
@@ -250,8 +252,11 @@ def duality_residual(m, l, q: int) -> float:
 def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float:
     """max of :func:`duality_residual` over |l| <= max_degree and |m| = d:
     Q_l(m) from one table, the duals Q_{m^-}(l^+) for every l and m from
-    one batched DP over the l^+."""
-    _check_count_budget(q, d, max_degree)
+    one batched DP over the l^+, charged before the table."""
+    cap = _check_count_budget(q, d, max_degree)
+    box = (d + 1) ** (q - 1)  # the m^- reach d on every axis
+    dp_budget(f"the Krawtchouk DP at q={q}, |m|={d}",
+              math.comb(cap + q - 1, q - 1), d, q, box, entries=2 * box)
     tab = table(q, d, max_degree)
     m_minus = [m[1:] for m in tab.counts]
     h_inv_m = np.array([scale_constant_inv(v, d) for v in m_minus], dtype=float)

@@ -23,7 +23,8 @@ order.  For q >= 3 a pass is the 1-D ``np.fft.fft``/``ifft``
 ``out=`` argument that numpy added in 2.0.  For q = 2 it is the
 Walsh-Hadamard butterfly (a + b, a - b), scaled by the same 1/sqrt(2)
 that numpy hands pocketfft, which is what pocketfft computes for a
-length-2 row; it needs only whole-array adds, subtracts and multiplies.
+length-2 row; it needs only whole-array adds, subtracts and multiplies,
+and a real input is transformed inside its complex result.
 Either way the result equals ``np.fft.fftn`` over the d lattice axes bit
 for bit.  A naive O(q^{2d}) double-sum path is kept as a test oracle.
 
@@ -232,28 +233,45 @@ def _walsh_hadamard(f: np.ndarray, d: int) -> np.ndarray:
     and scales the float view by 1/sqrt(2).  pocketfft computes a length-2
     row the same way and scales real and imaginary parts apart (a complex
     multiply would flip the sign of some zeros), so with digit 0 first and
-    every pass scaled the bits equal ``fftn``.  Every operand is one
-    strided run over the whole batch, so numpy allocates no iterator
-    buffer.  The batch axes rotate to the fastest place too; one
-    transposed copy puts them back in front.  A converted or flattened
-    copy of the input serves as the second buffer.
+    every pass scaled the bits equal ``fftn``.  A pass over the whole
+    batch as one strided run rotates the batch axes to the fastest place.
+    A complex input makes d such passes through two buffers, a converted
+    or flattened copy of it serving as the second, and one transposed
+    copy puts the batch back in front.  A real input is transformed
+    inside its result: d - 1 such passes alternate between its imaginary
+    and real parts, and the last writes each batch element's halves
+    together into the real part (numpy buffers 8192 floats for that
+    transposing pass); the imaginary part is then +0.0, as in ``fftn``.
     """
     n = f.shape[-1]
     batch = f.size // n
     half = f.size // 2
-    src = f.astype(complex, copy=False).reshape(-1)
-    buffers = [np.empty(f.size, dtype=complex)]
-    if d > 1 or batch > 1:  # more than one write needs a second buffer
+    real = not np.iscomplexobj(f)
+    src = f.astype(float if real else complex, copy=False).reshape(-1)
+    if real:
+        out = np.empty(f.size, dtype=complex)
+        # pass d - 2 writes the imaginary part, which the last pass reads
+        buffers = [out.real, out.imag] if d % 2 else [out.imag, out.real]
+    else:
         shared = np.may_share_memory(src, f)
-        buffers.append(np.empty(f.size, dtype=complex) if shared else src)
-    for k in range(d):
+        buffers = [np.empty(f.size, dtype=complex),
+                   np.empty(f.size, dtype=complex) if shared else src]
+    for k in range(d - real):
         dst = buffers[k % 2]
         np.add(src[0::2], src[1::2], out=dst[:half])
         np.subtract(src[0::2], src[1::2], out=dst[half:])
         parts = dst.view(float)
         parts *= _ORTHO_2
         src = dst
-    if batch > 1:
+    if real:
+        pairs = src.reshape(n // 2, batch, 2)
+        halves = out.real.reshape(batch, 2, n // 2).transpose(1, 2, 0)
+        np.add(pairs[..., 0], pairs[..., 1], out=halves[0])
+        np.subtract(pairs[..., 0], pairs[..., 1], out=halves[1])
+        np.multiply(out.real, _ORTHO_2, out=out.real)
+        out.imag = 0.0
+        src = out
+    elif batch > 1:
         dst = buffers[d % 2]
         dst.reshape(batch, n)[...] = src.reshape(n, batch).T
         src = dst

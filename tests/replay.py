@@ -55,6 +55,7 @@ _UNIFORM = '{{"variant": "uniform", "q": {q}, "d": {d}}}'
 _LAZY = ('{"variant": "definetti_mixture", "q": 3, "d": 2, "components": '
          '[{"weight": 0.5, "pmf": [0.6, 0.2, 0.2]}, '
          '{"weight": 0.5, "pmf": [0.2, 0.4, 0.4]}]}')
+_Q2 = '{{"variant": "product_iid", "q": 2, "d": {d}, "pmf": [0.7, 0.3]}}'
 EDGE_ARGVS = [
     # --config and --out
     ["green", "--law", _LAZY, "--alpha", "0.5",
@@ -128,6 +129,14 @@ EDGE_ARGVS = [
      "--m", ",".join(["1"] + ["0"] * 69)],
     ["verify", "--q", "70", "--d", "1"],
     ["limit", "--check", "transform", "--q", "66"],
+    # real q = 2 fields transformed inside their result: potts over three
+    # Monte-Carlo blocks at two betas, a field CSV, the quadratic forms
+    *(["potts", "--law", _Q2.format(d=6), "--alpha", "0.5", "--beta", beta,
+       "--n", "70001", "--seed", "3", "--threads", "2"]
+      for beta in ("0.3", "2")),
+    ["sample-field", "--law", _Q2.format(d=10), "--alpha", "0.4", "-n", "2000",
+     "--seed", "2", "--out", "field-2-10.csv"],
+    ["hamiltonian", "--law", _Q2.format(d=6), "--alpha", "0.5", "--seed", "1"],
 ]
 
 

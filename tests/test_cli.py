@@ -89,9 +89,17 @@ def _csv_cases():
             complex(1e-300, -1e-300), complex(-0.0, np.nan)]
     big = rng.standard_normal((3000, 30))  # several blocks of rows
     big[7, 3] = -0.0
+    # signed zero, infinities, nan, the least subnormal and the least power
+    # of ten that repr writes with an exponent
+    extremes = np.array([[-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16],
+                         [1e16, 5e-324, np.nan, -np.inf, np.inf, -0.0]])
+    mixed = extremes[0].astype(complex)
+    mixed.imag = extremes[1]
     return {"complex": z, "real": z.real.copy(), "complex row": z[0],
             "real row": z.real[0], "strided": z[::3, ::2],
-            "strided real": z.real[1::2, ::-1], "blocks": big}
+            "strided real": z.real[1::2, ::-1], "blocks": big,
+            "extremes": extremes,
+            "complex extremes": mixed}
 
 
 @pytest.mark.parametrize("name", list(_csv_cases()))

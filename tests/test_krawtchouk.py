@@ -502,3 +502,6 @@ def test_every_dp_is_charged_its_work_and_plans_charge_ahead(monkeypatch,
     assert bool(work) == (name != "route-b")  # route B runs no DP
     for amount, n_before in plans:
         assert work[n_before:] == [] or amount >= work[n_before], events
+    if name == "duality":  # the dual DP, the second, is charged before the first
+        assert any(amount >= work[1] for amount, n_before in plans
+                   if n_before == 0), events

@@ -193,7 +193,10 @@ def test_dft_equals_fftn_bit_for_bit(q, d, n):
     batches = [(), (0, 8), (2, 3, 8)] + ([(n,)] if n else [])
     inputs = [rng.standard_normal(batch + (q**d,))
               + 1j * rng.standard_normal(batch + (q**d,)) for batch in batches]
-    inputs += [rng.standard_normal(q**d)] + _special_inputs(rng, q**d)
+    # real inputs: q = 2 transforms them inside the result
+    inputs += [rng.standard_normal(batch + (q**d,)) for batch in batches]
+    inputs += [rng.choice([-0.0, 0.0], size=(3, q**d))]
+    inputs += _special_inputs(rng, q**d)
     for f in inputs:
         before = f.copy()
         for inverse in (False, True):

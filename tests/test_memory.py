@@ -1,5 +1,6 @@
 """Peak-memory guards for the dense N^2 layers, one Green row, the lattice
-transform, the Krawtchouk table and the Potts partition function.
+transform, the Krawtchouk table, the Potts partition function and the
+``potts`` Monte Carlo.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of
 one call is the memory that call allocates, output included.
@@ -46,9 +47,11 @@ def test_covariance_stderr_peak_is_a_few_inputs():
 
 
 # q = 2 runs the butterfly passes, q = 4 the np.fft passes; both 4096 points.
-# A real input is converted first, and that copy must serve as a pass buffer.
+# For q = 4 a real input is converted first, and that copy must serve as a
+# pass buffer; for q = 2 it is transformed inside its result.
 @pytest.mark.parametrize("q,d,real", [
     pytest.param(2, 12, False, id="2-12"),
+    pytest.param(2, 12, True, id="2-12-real"),
     pytest.param(4, 6, False, id="4-6"),
     pytest.param(4, 6, True, id="4-6-real"),
 ])
@@ -65,9 +68,13 @@ def test_dft_peak_is_no_more_than_fftn(q, d, real):
     # the first np.fft call imports numpy.fft; keep that out of both peaks
     lattice.dft(values[:1], q, d)
     fftn(values)
-    _, peak = _traced_peak(lattice.dft, values, q, d)
+    out, peak = _traced_peak(lattice.dft, values, q, d)
     _, fftn_peak = _traced_peak(fftn, values)
     assert peak <= fftn_peak, (peak, fftn_peak)
+    if q == 2 and real:
+        # numpy's iterator buffer of 8192 floats for the one transposing
+        # pass, and 4 KiB for the iterator and the array headers
+        assert peak <= out.nbytes + 2**16 + 2**12, peak / out.nbytes
 
 
 # the batched DP runs its rows in chunks of a fixed number of coefficients;
@@ -84,6 +91,22 @@ def test_real_matrix_csv_peak_is_below_the_matrix(tmp_path):
     _, peak = _traced_peak(cli._write_complex_csv, str(tmp_path / "g.csv"),
                            matrix, "y")
     assert peak < matrix.nbytes, peak / matrix.nbytes
+
+
+def test_potts_peak_is_the_drivers_and_the_fields(capsys):
+    # 20000 fields on (2, 6): drivers, weighted drivers and complex fields
+    # are 4 float64 arrays of n x 64; the reductions read the real part
+    n = 20000
+    law = '{"variant": "uniform", "q": 2, "d": 6}'
+
+    def potts(samples):
+        return cli.main(["potts", "--law", law, "--alpha", "0.5", "--beta",
+                         "0.3", "--n", str(samples), "--seed", "1"])
+
+    potts(2)  # imports and first-call caches stay out of the peak
+    code, peak = _traced_peak(potts, n)
+    assert code == 0 and '"mc_var_h"' in capsys.readouterr().out
+    assert peak <= 4 * n * 64 * 8 + 2**20, peak / (n * 64 * 8)
 
 
 def test_expected_partition_peak_is_a_few_lattice_arrays():
