@@ -249,15 +249,21 @@ def bond_coefficients(driver, spec: Spectrum, alpha: float) -> np.ndarray:
 
 
 def gibbs(pspec: PottsSpec, sample: FieldSample) -> np.ndarray:
-    """Gibbs weights e^(beta H_y) / Z per sample; H must be real."""
-    h = potts_hamiltonian(pspec, sample)
-    if np.max(np.abs(h.imag)) > 1e-9:
+    """Gibbs weights e^(beta H_y) / Z per sample; H must be real.
+
+    H_y = -g_y is never built: beta H = (-beta) g is written into the one
+    output array, and the shift, exp and normalization run in place on it.
+    """
+    g = np.atleast_2d(sample.values)
+    imag = g.imag
+    if max(imag.max(), -imag.min()) > 1e-9:
         raise ContractError("Gibbs measure needs real Hamiltonians "
                             "(complex H_y beyond tolerance)")
-    logits = pspec.beta * h.real
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.multiply(-pspec.beta, g.real)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def expected_partition(pspec: PottsSpec) -> float:

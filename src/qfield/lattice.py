@@ -24,7 +24,8 @@ order.  For q >= 3 a pass is the 1-D ``np.fft.fft``/``ifft``
 Walsh-Hadamard butterfly (a + b, a - b), scaled by the same 1/sqrt(2)
 that numpy hands pocketfft, which is what pocketfft computes for a
 length-2 row; it needs only whole-array adds, subtracts and multiplies,
-and a real input is transformed inside its complex result.
+and a real input is transformed inside its complex result, one
+cache-sized chunk of rows at a time.
 Either way the result equals ``np.fft.fftn`` over the d lattice axes bit
 for bit.  A naive O(q^{2d}) double-sum path is kept as a test oracle.
 
@@ -186,6 +187,10 @@ def axis_tensor(vectors: list[np.ndarray]) -> np.ndarray:
 
 # the factor numpy's fft hands pocketfft for norm="ortho" at length 2
 _ORTHO_2 = np.reciprocal(np.sqrt(2.0))
+# complex output bytes per chunk of rows of the real q = 2 transform, small
+# enough for a chunk to stay in cache through its d passes; a sweep from
+# 128 KiB to 2 MiB (CHANGES.md) was fastest and flat from 256 KiB to 1 MiB
+_CHUNK_BYTES = 2**19
 
 
 def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
@@ -195,9 +200,9 @@ def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     the last axis, which must have length q**d.  Cost O(q^d * d * log q)
     per batch element: for q >= 3, d ``np.fft`` passes written through
     ``out=`` (numpy >= 2.0); for q = 2, d add/subtract/scale butterflies
-    over the whole array, equal to ``fftn`` bit for bit because they are
-    the operations pocketfft runs on a length-2 row (see
-    :func:`_walsh_hadamard`).
+    over the whole array, or over each chunk of rows of a real input,
+    equal to ``fftn`` bit for bit because they are the operations
+    pocketfft runs on a length-2 row (see :func:`_walsh_hadamard`).
     """
     f = np.asarray(values)
     n = size(q, d)
@@ -238,44 +243,65 @@ def _walsh_hadamard(f: np.ndarray, d: int) -> np.ndarray:
     A complex input makes d such passes through two buffers, a converted
     or flattened copy of it serving as the second, and one transposed
     copy puts the batch back in front.  A real input is transformed
-    inside its result: d - 1 such passes alternate between its imaginary
-    and real parts, and the last writes each batch element's halves
-    together into the real part (numpy buffers 8192 floats for that
-    transposing pass); the imaginary part is then +0.0, as in ``fftn``.
+    inside its result, one chunk of rows of about ``_CHUNK_BYTES`` of
+    output at a time (see :func:`_walsh_hadamard_real`), so each chunk
+    takes all its passes while it is in cache; the butterflies act on
+    each row alone, so the chunks give the bits of one whole-batch run.
     """
     n = f.shape[-1]
     batch = f.size // n
+    if not np.iscomplexobj(f):
+        src = f.astype(float, copy=False).reshape(batch, n)
+        out = np.empty((batch, n), dtype=complex)
+        rows = max(1, _CHUNK_BYTES // out.itemsize // n)
+        for start in range(0, batch, rows):
+            _walsh_hadamard_real(src[start:start + rows],
+                                 out[start:start + rows], d)
+        return out.reshape(f.shape)
     half = f.size // 2
-    real = not np.iscomplexobj(f)
-    src = f.astype(float if real else complex, copy=False).reshape(-1)
-    if real:
-        out = np.empty(f.size, dtype=complex)
-        # pass d - 2 writes the imaginary part, which the last pass reads
-        buffers = [out.real, out.imag] if d % 2 else [out.imag, out.real]
-    else:
-        shared = np.may_share_memory(src, f)
-        buffers = [np.empty(f.size, dtype=complex),
-                   np.empty(f.size, dtype=complex) if shared else src]
-    for k in range(d - real):
-        dst = buffers[k % 2]
-        np.add(src[0::2], src[1::2], out=dst[:half])
-        np.subtract(src[0::2], src[1::2], out=dst[half:])
-        parts = dst.view(float)
-        parts *= _ORTHO_2
-        src = dst
-    if real:
-        pairs = src.reshape(n // 2, batch, 2)
-        halves = out.real.reshape(batch, 2, n // 2).transpose(1, 2, 0)
-        np.add(pairs[..., 0], pairs[..., 1], out=halves[0])
-        np.subtract(pairs[..., 0], pairs[..., 1], out=halves[1])
-        np.multiply(out.real, _ORTHO_2, out=out.real)
-        out.imag = 0.0
-        src = out
-    elif batch > 1:
+    src = f.astype(complex, copy=False).reshape(-1)
+    shared = np.may_share_memory(src, f)
+    buffers = [np.empty(f.size, dtype=complex),
+               np.empty(f.size, dtype=complex) if shared else src]
+    for k in range(d):
+        src = _butterfly(src, buffers[k % 2], half)
+    if batch > 1:
         dst = buffers[d % 2]
         dst.reshape(batch, n)[...] = src.reshape(n, batch).T
         src = dst
     return src.reshape(f.shape)
+
+
+def _walsh_hadamard_real(src: np.ndarray, out: np.ndarray, d: int) -> None:
+    """The q = 2 transform of the real (rows, n) ``src`` into the complex
+    (rows, n) ``out``, with no other buffer: d - 1 passes alternate between
+    the imaginary and real parts of ``out``, and the last writes each row's
+    halves together into the real part (numpy buffers 8192 floats for that
+    transposing pass); the imaginary part is then +0.0, as in ``fftn``."""
+    batch, n = src.shape
+    half = src.size // 2
+    flat = out.reshape(-1)
+    # pass d - 2 writes the imaginary part, which the last pass reads
+    buffers = [flat.real, flat.imag] if d % 2 else [flat.imag, flat.real]
+    src = src.reshape(-1)
+    for k in range(d - 1):
+        src = _butterfly(src, buffers[k % 2], half)
+    pairs = src.reshape(n // 2, batch, 2)
+    halves = flat.real.reshape(batch, 2, n // 2).transpose(1, 2, 0)
+    np.add(pairs[..., 0], pairs[..., 1], out=halves[0])
+    np.subtract(pairs[..., 0], pairs[..., 1], out=halves[1])
+    np.multiply(flat.real, _ORTHO_2, out=flat.real)
+    flat.imag = 0.0
+
+
+def _butterfly(src: np.ndarray, dst: np.ndarray, half: int) -> np.ndarray:
+    """One pass: (a + b, a - b) / sqrt(2) of the adjacent pairs of the flat
+    ``src`` into the two halves of ``dst``, which it returns."""
+    np.add(src[0::2], src[1::2], out=dst[:half])
+    np.subtract(src[0::2], src[1::2], out=dst[half:])
+    parts = dst.view(float)
+    parts *= _ORTHO_2
+    return dst
 
 
 def dft_naive(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:

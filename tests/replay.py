@@ -56,6 +56,15 @@ _LAZY = ('{"variant": "definetti_mixture", "q": 3, "d": 2, "components": '
          '[{"weight": 0.5, "pmf": [0.6, 0.2, 0.2]}, '
          '{"weight": 0.5, "pmf": [0.2, 0.4, 0.4]}]}')
 _Q2 = '{{"variant": "product_iid", "q": 2, "d": {d}, "pmf": [0.7, 0.3]}}'
+
+
+def _ramp(q: int, d: int) -> str:
+    """A product_iid law with pmf proportional to 1..q."""
+    total = q * (q + 1) // 2
+    return json.dumps({"variant": "product_iid", "q": q, "d": d,
+                       "pmf": [k / total for k in range(1, q + 1)]})
+
+
 EDGE_ARGVS = [
     # --config and --out
     ["green", "--law", _LAZY, "--alpha", "0.5",
@@ -137,6 +146,14 @@ EDGE_ARGVS = [
     ["sample-field", "--law", _Q2.format(d=10), "--alpha", "0.4", "-n", "2000",
      "--seed", "2", "--out", "field-2-10.csv"],
     ["hamiltonian", "--law", _Q2.format(d=6), "--alpha", "0.5", "--seed", "1"],
+    # killed walks over three blocks whose increments draw from long pmfs,
+    # on one thread and two
+    *(["mc-green", "--law", _ramp(q, d), "--alpha", "0.8", "--x0",
+       ",".join(["0"] * d), "--n", "70001", "--seed", "5", "--threads", t]
+      for q, d in ((17, 2), (64, 1)) for t in ("1", "2")),
+    # a real q = 2 transform over many chunks of rows
+    ["sample-field", "--law", _UNIFORM.format(q=2, d=12), "--alpha", "0.5",
+     "-n", "2000", "--seed", "6", "--out", "field-2-12.csv"],
 ]
 
 

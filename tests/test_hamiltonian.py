@@ -251,6 +251,11 @@ def test_potts_delta_hamiltonian_and_gibbs():
     assert np.allclose(h, -sample.values)
     weights = ham.gibbs(pspec, sample)
     assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-12
+    # reduced in place, the weights keep the bits of e^(beta H) / Z from H
+    logits = pspec.beta * h.real
+    logits -= logits.max(axis=-1, keepdims=True)
+    want = np.exp(logits)
+    assert np.array_equal(weights, want / want.sum(axis=-1, keepdims=True))
     # beta -> 0 flattens the Gibbs measure
     flat = ham.gibbs(ham.PottsSpec(spec, 0.5, 1e-12), sample)
     assert np.max(np.abs(flat - 0.25)) < 1e-9

@@ -183,16 +183,25 @@ def _special_inputs(rng, n):
     return [zeros, wide[:, 1], slab[..., 0], ints]
 
 
-# q = 2 runs the butterfly passes: d = 14 is beyond MATERIAL_LIMIT
+# q = 2 runs the butterfly passes: d = 14 is beyond MATERIAL_LIMIT, and
+# at d = 16 one row is more than a chunk of the real path
 @pytest.mark.parametrize("q,d,n", [
     (2, 6, 20000), (2, 12, 64), (4, 3, 20000), (3, 7, 64), (16, 3, 64),
     (4096, 1, 64), (64, 2, None), (2, 12, None), (5, 1, None),
-    (4, 5, None), (7, 4, 3), (2, 1, 5), (2, 3, 7), (2, 14, None)])
+    (4, 5, None), (7, 4, 3), (2, 1, 5), (2, 3, 7), (2, 14, None),
+    (2, 16, None)])
 def test_dft_equals_fftn_bit_for_bit(q, d, n):
     rng = np.random.default_rng(q * 100 + d)
-    batches = [(), (0, 8), (2, 3, 8)] + ([(n,)] if n else [])
+    # 48 rows of 2^16 points would spend seconds in fftn
+    batches = [(), (0, 8), (2, 3, 8) if q**d < 2**16 else (2, 1)]
+    batches += [(n,)] if n else []
     inputs = [rng.standard_normal(batch + (q**d,))
               + 1j * rng.standard_normal(batch + (q**d,)) for batch in batches]
+    if q == 2:
+        # real batches take their passes one chunk of rows at a time: one
+        # row short of a chunk, one chunk, and one row into a second chunk
+        rows = max(1, lattice._CHUNK_BYTES // (16 * q**d))
+        batches += [(rows - 1,), (rows,), (rows + 1,)]
     # real inputs: q = 2 transforms them inside the result
     inputs += [rng.standard_normal(batch + (q**d,)) for batch in batches]
     inputs += [rng.choice([-0.0, 0.0], size=(3, q**d))]

@@ -1,6 +1,6 @@
 """Peak-memory guards for the dense N^2 layers, one Green row, the lattice
-transform, the Krawtchouk table, the Potts partition function and the
-``potts`` Monte Carlo.
+transform, the Krawtchouk table, the Potts partition function, the
+``potts`` Monte Carlo and the Gibbs weights.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of
 one call is the memory that call allocates, output included.
@@ -107,6 +107,17 @@ def test_potts_peak_is_the_drivers_and_the_fields(capsys):
     code, peak = _traced_peak(potts, n)
     assert code == 0 and '"mc_var_h"' in capsys.readouterr().out
     assert peak <= 4 * n * 64 * 8 + 2**20, peak / (n * 64 * 8)
+
+
+def test_gibbs_peak_is_its_output():
+    # beta H is written into the weights and reduced there: no complex H,
+    # no |H.imag|, no separate logits or exp
+    spec = walks.UniformLaw(2, 6).spectrum()
+    sample = fields.sample_field(spec, 0.5, seed=1, n_samples=20000)
+    pspec = hamiltonian.PottsSpec(spec, 0.5, 0.3)
+    hamiltonian.gibbs(pspec, sample)  # first-call caches stay out of the peak
+    weights, peak = _traced_peak(hamiltonian.gibbs, pspec, sample)
+    assert peak <= weights.nbytes + 2**20, peak / weights.nbytes
 
 
 def test_expected_partition_peak_is_a_few_lattice_arrays():

@@ -93,17 +93,32 @@ def test_partition_samplers_match_closed_form(scheme):
     assert abs(est - pp.y_moment(spec, l)) <= 4 * se
 
 
+def _categorical_cases():
+    """(pmf, shape) pairs of 1 to 64 entries, with zero mass at the first,
+    a middle and the last entry."""
+    spec = pp.lazy_spec(3, 0.5, [0.2, 0.5], [0.4, 0.6])
+    cases = [(spec.weights(), 0), (spec.weights(), 17),
+             (spec.atoms[1].pmf, (0, 3)), (spec.atoms[1].pmf, (9, 3))]
+    for k in (1, 2, 16, 17, 64):
+        p = np.arange(1.0, k + 1.0)
+        cases.append((p / p.sum(), (40, 3)))
+        if k > 2:
+            for zero in (0, k // 2, k - 1):
+                z = p.copy()
+                z[zero] = 0.0
+                cases.append((z / z.sum(), 101))
+    return cases
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_categorical_draws_equal_rng_choice(seed):
     # the sampler every law and the lattice-draw moment estimator use gives
     # the indices rng.choice gives, from the same uniforms, size 0 included
-    spec = pp.lazy_spec(3, 0.5, [0.2, 0.5], [0.4, 0.6])
-    for p, shape in ((spec.weights(), 0), (spec.weights(), 17),
-                     (spec.atoms[1].pmf, (0, 3)), (spec.atoms[1].pmf, (9, 3))):
+    for p, shape in _categorical_cases():
         rng_a, rng_b = (np.random.default_rng(seed) for _ in range(2))
         got = walks._draw_categorical(rng_a, p, shape)
         want = rng_b.choice(len(p), size=shape, p=p)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype and np.array_equal(got, want), len(p)
         assert rng_a.random() == rng_b.random()  # as many uniforms consumed
 
 

@@ -208,13 +208,16 @@ def test_one_step_empirical_matches_transition_row():
 
 
 def test_killed_walk_workers_deterministic():
-    law = walks.lazy_walk(2, 2, [0.3])
     kill = walks.KillingLaw(0.5)
-    # three blocks, the last one short, so workers 2 and 3 run the pool
-    a, b, c = (walks.simulate_killed(law, (0, 0), kill, seed=9,
-                                     n_walks=2 * _mc.BLOCK + 1, workers=w)
-               for w in (1, 2, 3))
-    assert np.array_equal(a, b) and np.array_equal(a, c)
+    # a two-point lazy step and a 64-entry pmf
+    for law in (walks.lazy_walk(2, 2, [0.3]),
+                walks.ProductIIDLaw(64, 1, p=np.arange(1.0, 65.0) / 2080.0)):
+        x0 = (0,) * law.d
+        # three blocks, the last one short, so workers 2 and 3 run the pool
+        a, b, c = (walks.simulate_killed(law, x0, kill, seed=9,
+                                         n_walks=2 * _mc.BLOCK + 1, workers=w)
+                   for w in (1, 2, 3))
+        assert np.array_equal(a, b) and np.array_equal(a, c), law.q
 
 
 def test_walk_start_and_steps_are_checked():
