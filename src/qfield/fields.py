@@ -69,7 +69,8 @@ def sample_field(spec: Spectrum, alpha: float, seed: int,
 def invert_field(values: np.ndarray, spec: Spectrum, alpha: float) -> np.ndarray:
     """Recover drivers: gr = forward(values) / sqrt(lambda)."""
     weights = synthesis_weights(spec, alpha)
-    coeffs = dft(values, spec.q, spec.d) / weights
+    coeffs = dft(values, spec.q, spec.d)
+    coeffs /= weights
     return coeffs.real
 
 

@@ -16,18 +16,19 @@ The discrete Fourier transform used throughout is the unitary one,
     forward:  c[r] = q^(-d/2) * sum_x f[x] * theta^(-x.r)
     inverse:  f[x] = q^(-d/2) * sum_r c[r] * theta^(x.r)
 
-with theta = exp(2*pi*i/q), computed as d passes, one per digit, each
-writing its digit back as the slowest one so the digits rotate into rank
-order.  For q >= 3 a pass is the 1-D ``np.fft.fft``/``ifft``
-(``norm="ortho"``) over contiguous rows of length q, written through the
-``out=`` argument that numpy added in 2.0.  For q = 2 it is the
-Walsh-Hadamard butterfly (a + b, a - b), scaled by the same 1/sqrt(2)
-that numpy hands pocketfft, which is what pocketfft computes for a
-length-2 row; it needs only whole-array adds, subtracts and multiplies,
-and a real input is transformed inside its complex result, one
-cache-sized chunk of rows at a time.
-Either way the result equals ``np.fft.fftn`` over the d lattice axes bit
-for bit.  A naive O(q^{2d}) double-sum path is kept as a test oracle.
+with theta = exp(2*pi*i/q), computed by one loop over cache-sized chunks
+of rows: each chunk takes d passes, one per digit, each writing its digit
+back as the slowest one so the digits rotate into rank order, between its
+slice of the result and one chunk-sized spare.  For q >= 3 a pass is the
+1-D ``np.fft.fft``/``ifft`` (``norm="ortho"``) over contiguous rows of
+length q, written through the ``out=`` argument that numpy added in 2.0.
+For q = 2 it is the Walsh-Hadamard butterfly (a + b, a - b), scaled by
+the same 1/sqrt(2) that numpy hands pocketfft, which is what pocketfft
+computes for a length-2 row; it needs only adds, subtracts and
+multiplies, and a real input uses the result's imaginary part as its
+spare.  Either way the result equals ``np.fft.fftn`` over the d lattice
+axes bit for bit.  A naive O(q^{2d}) double-sum path is kept as a test
+oracle.
 
 The type classes of points (count vectors m, m[j] coordinates equal to
 j) are listed by :func:`count_vectors`, weighted by :func:`multinomial_pmf`;
@@ -187,9 +188,10 @@ def axis_tensor(vectors: list[np.ndarray]) -> np.ndarray:
 
 # the factor numpy's fft hands pocketfft for norm="ortho" at length 2
 _ORTHO_2 = np.reciprocal(np.sqrt(2.0))
-# complex output bytes per chunk of rows of the real q = 2 transform, small
-# enough for a chunk to stay in cache through its d passes; a sweep from
-# 128 KiB to 2 MiB (CHANGES.md) was fastest and flat from 256 KiB to 1 MiB
+# complex output bytes per chunk of rows of the transform, small enough for
+# a chunk to stay in cache through its d passes; a sweep of the real q = 2
+# path from 128 KiB to 2 MiB (CHANGES.md) was fastest and flat from
+# 256 KiB to 1 MiB
 _CHUNK_BYTES = 2**19
 
 
@@ -198,100 +200,83 @@ def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
 
     ``values`` may carry leading batch dimensions; the transform acts on
     the last axis, which must have length q**d.  Cost O(q^d * d * log q)
-    per batch element: for q >= 3, d ``np.fft`` passes written through
-    ``out=`` (numpy >= 2.0); for q = 2, d add/subtract/scale butterflies
-    over the whole array, or over each chunk of rows of a real input,
-    equal to ``fftn`` bit for bit because they are the operations
-    pocketfft runs on a length-2 row (see :func:`_walsh_hadamard`).
+    per batch element.  The rows go in chunks of about ``_CHUNK_BYTES`` of
+    output, each taking its d passes while it is in cache; a pass acts on
+    each row alone, so the chunks give the bits of one whole-batch run.
+    A chunk, converted to float (a real q = 2 input) or complex, passes
+    between its slice of the result and one chunk-sized spare, or the
+    result's own imaginary part for a real q = 2 input, ordered so that
+    the last pass lands in the result; the caller's array is never
+    written.  For q >= 3 a pass is ``np.fft`` written through ``out=``
+    (numpy >= 2.0); for q = 2 it is the add/subtract/scale butterfly of
+    :func:`_butterflies`, equal to ``fftn`` bit for bit because it is
+    what pocketfft runs on a length-2 row.
     """
     f = np.asarray(values)
     n = size(q, d)
     if f.shape[-1] != n:
         raise ShapeError(f"last axis has length {f.shape[-1]}, expected {n}")
-    if q == 2:
-        return _walsh_hadamard(f, d)
-    # each pass transforms the fastest digit x[0] over contiguous rows of
-    # length q and writes it back as the slowest digit, so after d passes
-    # the digits are in rank order again; the passes alternate between two
-    # buffers and never write the caller's array, but a converted or
-    # flattened copy of it serves as the second buffer
+    batch = f.size // n
+    real = q == 2 and not np.iscomplexobj(f)
+    src = f.reshape(batch, n)
+    out = np.empty((batch, n), dtype=complex)
+    rows = _CHUNK_BYTES // out.itemsize // n or 1
+    # a real q = 2 input passes through the result's .real and .imag, and
+    # a single pass needs no spare
+    spare = None if real or d == 1 else np.empty_like(out[:rows])
     transform = np.fft.ifft if inverse else np.fft.fft
-    rest = n // q
-    src = np.ascontiguousarray(f, dtype=complex)
-    buffers = [np.empty(f.shape, dtype=complex)]
-    if d > 1:
-        shared = np.may_share_memory(src, f)
-        buffers.append(np.empty(f.shape, dtype=complex) if shared else src)
-    for k in range(d):
-        dst = buffers[k % 2]
-        transform(src.reshape(-1, rest, q), axis=-1, norm="ortho",
-                  out=dst.reshape(-1, q, rest).transpose(0, 2, 1))
-        src = dst
-    return src
+    for start in range(0, batch, rows):
+        chunk = src[start:start + rows].astype(float if real else complex,
+                                                copy=False)
+        dst = out[start:start + rows]
+        if real:
+            pair = dst.real, dst.imag
+        else:
+            pair = dst, (spare[:len(dst)] if d > 1 else None)
+        buffers = pair if d % 2 else pair[::-1]  # the last pass lands in dst
+        if q == 2:
+            _butterflies(chunk, buffers, d)
+            if real:
+                dst.imag = 0.0  # as in fftn
+            continue
+        # each pass transforms the fastest digit x[0] over contiguous rows
+        # of length q and writes it back as the slowest digit, so after d
+        # passes the digits are in rank order again
+        for k in range(d):
+            buf = buffers[k % 2]
+            transform(chunk.reshape(-1, n // q, q), axis=-1, norm="ortho",
+                      out=buf.reshape(-1, q, n // q).transpose(0, 2, 1))
+            chunk = buf
+    return out.reshape(f.shape)
 
 
-def _walsh_hadamard(f: np.ndarray, d: int) -> np.ndarray:
-    """The q = 2 transform, forward and inverse alike, as d butterflies.
+def _butterflies(src: np.ndarray, buffers: tuple, d: int) -> None:
+    """The q = 2 transform, forward and inverse alike, of the (rows, n)
+    ``src`` as d butterflies through the two (rows, n) ``buffers``, the
+    last into ``buffers[(d - 1) % 2]``.
 
     Each pass maps the adjacent pairs (a, b) of the fastest digit to the
     two contiguous halves a + b and a - b, making it the slowest digit,
     and scales the float view by 1/sqrt(2).  pocketfft computes a length-2
     row the same way and scales real and imaginary parts apart (a complex
     multiply would flip the sign of some zeros), so with digit 0 first and
-    every pass scaled the bits equal ``fftn``.  A pass over the whole
-    batch as one strided run rotates the batch axes to the fastest place.
-    A complex input makes d such passes through two buffers, a converted
-    or flattened copy of it serving as the second, and one transposed
-    copy puts the batch back in front.  A real input is transformed
-    inside its result, one chunk of rows of about ``_CHUNK_BYTES`` of
-    output at a time (see :func:`_walsh_hadamard_real`), so each chunk
-    takes all its passes while it is in cache; the butterflies act on
-    each row alone, so the chunks give the bits of one whole-batch run.
+    every pass scaled the bits equal ``fftn``.  The first d - 1 passes run
+    over the whole chunk as one strided run, which rotates the row axis to
+    the fastest place; the last writes each row's halves back in front
+    (numpy buffers 8192 items for that transposing pass).
     """
-    n = f.shape[-1]
-    batch = f.size // n
-    if not np.iscomplexobj(f):
-        src = f.astype(float, copy=False).reshape(batch, n)
-        out = np.empty((batch, n), dtype=complex)
-        rows = max(1, _CHUNK_BYTES // out.itemsize // n)
-        for start in range(0, batch, rows):
-            _walsh_hadamard_real(src[start:start + rows],
-                                 out[start:start + rows], d)
-        return out.reshape(f.shape)
-    half = f.size // 2
-    src = f.astype(complex, copy=False).reshape(-1)
-    shared = np.may_share_memory(src, f)
-    buffers = [np.empty(f.size, dtype=complex),
-               np.empty(f.size, dtype=complex) if shared else src]
-    for k in range(d):
-        src = _butterfly(src, buffers[k % 2], half)
-    if batch > 1:
-        dst = buffers[d % 2]
-        dst.reshape(batch, n)[...] = src.reshape(n, batch).T
-        src = dst
-    return src.reshape(f.shape)
-
-
-def _walsh_hadamard_real(src: np.ndarray, out: np.ndarray, d: int) -> None:
-    """The q = 2 transform of the real (rows, n) ``src`` into the complex
-    (rows, n) ``out``, with no other buffer: d - 1 passes alternate between
-    the imaginary and real parts of ``out``, and the last writes each row's
-    halves together into the real part (numpy buffers 8192 floats for that
-    transposing pass); the imaginary part is then +0.0, as in ``fftn``."""
-    batch, n = src.shape
+    rows, n = src.shape
     half = src.size // 2
-    flat = out.reshape(-1)
-    # pass d - 2 writes the imaginary part, which the last pass reads
-    buffers = [flat.real, flat.imag] if d % 2 else [flat.imag, flat.real]
     src = src.reshape(-1)
     for k in range(d - 1):
-        src = _butterfly(src, buffers[k % 2], half)
-    pairs = src.reshape(n // 2, batch, 2)
-    halves = flat.real.reshape(batch, 2, n // 2).transpose(1, 2, 0)
+        src = _butterfly(src, buffers[k % 2].reshape(-1), half)
+    dst = buffers[(d - 1) % 2]
+    pairs = src.reshape(n // 2, rows, 2)
+    halves = dst.reshape(rows, 2, n // 2).transpose(1, 2, 0)
     np.add(pairs[..., 0], pairs[..., 1], out=halves[0])
     np.subtract(pairs[..., 0], pairs[..., 1], out=halves[1])
-    np.multiply(flat.real, _ORTHO_2, out=flat.real)
-    flat.imag = 0.0
+    parts = dst.view(float)
+    parts *= _ORTHO_2
 
 
 def _butterfly(src: np.ndarray, dst: np.ndarray, half: int) -> np.ndarray:

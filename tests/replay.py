@@ -154,6 +154,13 @@ EDGE_ARGVS = [
     # a real q = 2 transform over many chunks of rows
     ["sample-field", "--law", _UNIFORM.format(q=2, d=12), "--alpha", "0.5",
      "-n", "2000", "--seed", "6", "--out", "field-2-12.csv"],
+    # transforms over three chunks of rows in both directions: the real
+    # synthesis and the complex inversion, at q = 3 (404 rows of 81 points
+    # to a chunk) and at q = 2 (512 rows of 64 points)
+    ["sample-field", "--law", _UNIFORM.format(q=3, d=4), "--alpha", "0.5",
+     "-n", "900", "--seed", "7", "--out", "field-3-4.csv"],
+    ["sample-field", "--law", _Q2.format(d=6), "--alpha", "0.5",
+     "-n", "1100", "--seed", "8", "--out", "field-2-6.csv"],
 ]
 
 

@@ -167,6 +167,7 @@ def _fftn_dft(values, q, d, inverse):
 
 def _same_bits(a, b):
     """Equal shapes and equal bits, so -0.0 and 0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
 
@@ -184,7 +185,7 @@ def _special_inputs(rng, n):
 
 
 # q = 2 runs the butterfly passes: d = 14 is beyond MATERIAL_LIMIT, and
-# at d = 16 one row is more than a chunk of the real path
+# at d = 16 one row is more than a chunk
 @pytest.mark.parametrize("q,d,n", [
     (2, 6, 20000), (2, 12, 64), (4, 3, 20000), (3, 7, 64), (16, 3, 64),
     (4096, 1, 64), (64, 2, None), (2, 12, None), (5, 1, None),
@@ -195,15 +196,18 @@ def test_dft_equals_fftn_bit_for_bit(q, d, n):
     # 48 rows of 2^16 points would spend seconds in fftn
     batches = [(), (0, 8), (2, 3, 8) if q**d < 2**16 else (2, 1)]
     batches += [(n,)] if n else []
+    # the rows take their passes one chunk at a time: one row short of a
+    # chunk, one chunk, and one row into a second chunk
+    rows = max(1, lattice._CHUNK_BYTES // (16 * q**d))
+    batches += [(rows - 1,), (rows,), (rows + 1,)]
     inputs = [rng.standard_normal(batch + (q**d,))
               + 1j * rng.standard_normal(batch + (q**d,)) for batch in batches]
-    if q == 2:
-        # real batches take their passes one chunk of rows at a time: one
-        # row short of a chunk, one chunk, and one row into a second chunk
-        rows = max(1, lattice._CHUNK_BYTES // (16 * q**d))
-        batches += [(rows - 1,), (rows,), (rows + 1,)]
     # real inputs: q = 2 transforms them inside the result
     inputs += [rng.standard_normal(batch + (q**d,)) for batch in batches]
+    # single precision is converted chunk by chunk, before the passes; the
+    # complex one is in Fortran order, so its rows are strided
+    fortran = np.asfortranarray(inputs[len(batches) - 1])
+    inputs += [inputs[-1].astype(np.float32), fortran.astype(np.complex64)]
     inputs += [rng.choice([-0.0, 0.0], size=(3, q**d))]
     inputs += _special_inputs(rng, q**d)
     for f in inputs:

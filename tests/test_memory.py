@@ -1,6 +1,6 @@
 """Peak-memory guards for the dense N^2 layers, one Green row, the lattice
-transform, the Krawtchouk table, the Potts partition function, the
-``potts`` Monte Carlo and the Gibbs weights.
+transform, the field inversion, the Krawtchouk table, the Potts partition
+function, the ``potts`` Monte Carlo and the Gibbs weights.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of
 one call is the memory that call allocates, output included.
@@ -47,8 +47,9 @@ def test_covariance_stderr_peak_is_a_few_inputs():
 
 
 # q = 2 runs the butterfly passes, q = 4 the np.fft passes; both 4096 points.
-# For q = 4 a real input is converted first, and that copy must serve as a
-# pass buffer; for q = 2 it is transformed inside its result.
+# The rows go in chunks: a chunk is converted to complex (to float for a
+# real q = 2 input) and passes between its slice of the result and one
+# chunk-sized spare; a real q = 2 input uses the result's imaginary part.
 @pytest.mark.parametrize("q,d,real", [
     pytest.param(2, 12, False, id="2-12"),
     pytest.param(2, 12, True, id="2-12-real"),
@@ -71,10 +72,25 @@ def test_dft_peak_is_no_more_than_fftn(q, d, real):
     out, peak = _traced_peak(lattice.dft, values, q, d)
     _, fftn_peak = _traced_peak(fftn, values)
     assert peak <= fftn_peak, (peak, fftn_peak)
+    # a converted chunk, the spare and numpy's iterator buffer of 8192
+    # complex items for a transposing pass, then 4 KiB for the headers
+    assert peak <= out.nbytes + 2 * lattice._CHUNK_BYTES + 2**17 + 2**12, (
+        peak - out.nbytes)
     if q == 2 and real:
         # numpy's iterator buffer of 8192 floats for the one transposing
         # pass, and 4 KiB for the iterator and the array headers
         assert peak <= out.nbytes + 2**16 + 2**12, peak / out.nbytes
+
+
+@pytest.mark.parametrize("q,d,n", [(2, 12, 64), (4, 6, 64), (2, 6, 20000)])
+def test_invert_field_peak_is_one_output(q, d, n):
+    # the quotient is taken in the transform's output, not in a second one
+    spec = walks.UniformLaw(q, d).spectrum()
+    values = fields.sample_field(spec, 0.5, 1, n).values
+    fields.invert_field(values[:1], spec, 0.5)
+    _, peak = _traced_peak(fields.invert_field, values, spec, 0.5)
+    assert peak <= values.nbytes + 2 * lattice._CHUNK_BYTES + 2**17, (
+        peak - values.nbytes)
 
 
 # the batched DP runs its rows in chunks of a fixed number of coefficients;
