@@ -2,16 +2,18 @@
 
 Every stochastic routine takes an explicit integer seed.  The draws are
 cut into blocks of ``BLOCK``; block i draws from its own substream
-``SeedSequence(seed, spawn_key=(i,))`` and the blocks are joined in block
-order.  A worker count only decides how many threads run the blocks, so
-output never depends on it, nor on scheduling.  A run is charged against
-the entry budget from its caller's row width before any block draws.
+``SeedSequence(seed, spawn_key=(i,))`` and the blocks are copied, in block
+order and as they arrive, into one output, so a run holds that output and
+the blocks not yet copied.  A worker count only decides how many threads
+run the blocks, so output never depends on it, nor on scheduling.  A run
+is charged against the entry budget from its caller's row width before
+any block draws.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,7 +33,9 @@ def run_chunked(
 
     ``row`` is the entries of one draw, so ``total * row`` is charged
     against the entry budget before any block runs; one block returns
-    ``draw``'s array itself.
+    ``draw``'s array itself.  More blocks are copied, on the calling
+    thread, into one output with the first block's dtype and row shape;
+    a block that differs from it in either raises.
     """
     if total < 1 or workers < 1:
         raise RangeError(f"need total >= 1 and workers >= 1, "
@@ -43,12 +47,29 @@ def run_chunked(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         return draw(rng, min(BLOCK, total - i * BLOCK))
 
-    if workers == 1 or n_blocks == 1:
-        blocks = [block(i) for i in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            blocks = list(pool.map(block, range(n_blocks)))
-    return blocks[0] if n_blocks == 1 else np.concatenate(blocks)
+    if n_blocks == 1:
+        return block(0)
+    if workers == 1:
+        return _join(map(block, range(n_blocks)), total)
+    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+        return _join(pool.map(block, range(n_blocks)), total)
+
+
+def _join(blocks: Iterator[np.ndarray], total: int) -> np.ndarray:
+    """The blocks, in order, copied into one output of ``total`` rows
+    shaped by the first; each block is let go before the next arrives."""
+    out, start = None, 0
+    for part in blocks:
+        if out is None:
+            out = np.empty((total,) + part.shape[1:], dtype=part.dtype)
+        dst = out[start:start + BLOCK]
+        if part.shape != dst.shape:
+            raise ValueError(f"block {start // BLOCK} has shape {part.shape}, "
+                             f"expected {dst.shape}")
+        np.copyto(dst, part, casting="no")
+        start += BLOCK
+        del part  # a loop variable would hold it while the next one draws
+    return out
 
 
 def mean_and_stderr(samples: np.ndarray) -> tuple[complex, float]:

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__, _mc, fields, green, hamiltonian, krawtchouk
 from . import pointprocess, verify, walks
-from .lattice import MATERIAL_LIMIT, NumericalError, RangeError, budget, size
+from .lattice import (MATERIAL_LIMIT, NumericalError, RangeError, budget,
+                      chunk_rows, size)
 from .limits import check_table
 
 CONFIG_EXIT = 2
@@ -260,8 +261,11 @@ def cmd_sample_field(args):
     sample = fields.sample_field(spec, args.alpha, args.seed,
                                  n_samples=args.n, workers=args.threads)
     _write_complex_csv(path, sample.values, "g")
-    inversion = float(np.max(np.abs(
-        fields.invert_field(sample.values, spec, args.alpha) - sample.driver)))
+    # the largest inversion error, taken one chunk of rows at a time
+    rows = chunk_rows(sample.values.shape[1])
+    inversion = float(np.max([np.max(np.abs(
+        fields.invert_field(sample.values[i:i + rows], spec, args.alpha)
+        - sample.driver[i:i + rows])) for i in range(0, args.n, rows)]))
     return {"alpha": args.alpha, "n_samples": args.n, "csv": path,
             "inversion_residual": inversion,
             "spectrum_hash": _spectrum_hash(spec)}, inversion
@@ -369,9 +373,10 @@ def cmd_potts(args):
             hamiltonian.log_expected_partition_delta(spec, args.alpha, args.beta)
     if not args.n:
         return result, None
-    sample = fields.sample_field(spec, args.alpha, args.seed,
-                                 n_samples=args.n, workers=args.threads)
-    g = sample.values.real  # H_y = -g_y, so var(H) = var(g) bit for bit
+    # the values alone, so the drivers are freed before var and beta H;
+    # H_y = -g_y, so var(H) = var(g) bit for bit
+    g = fields.sample_field(spec, args.alpha, args.seed, n_samples=args.n,
+                            workers=args.threads).values.real
     var_h = float(g.var())  # its temporary is freed before beta H is built
     terms = np.multiply(-args.beta, g)  # beta H
     mean, se = _mc.mean_and_stderr(np.exp(terms, out=terms).sum(axis=1))

@@ -25,7 +25,7 @@ import numpy as np
 from . import _mc
 from .green import WrappedLaw, frequency_box, green_eigenvalues
 from .krawtchouk import kappa_getter, table
-from .lattice import (NumericalError, RangeError, dft, size,
+from .lattice import (NumericalError, RangeError, chunk_rows, dft, size,
                       state_type_counts, unrank)
 from .walks import IMAG_TOL, Spectrum
 
@@ -54,7 +54,13 @@ class FieldSample:
 
 def sample_field(spec: Spectrum, alpha: float, seed: int,
                  n_samples: int = 1, workers: int = 1) -> FieldSample:
-    """Draw fields; deterministic given the seed, whatever ``workers``."""
+    """Draw fields; deterministic given the seed, whatever ``workers``.
+
+    The drivers are weighted and transformed one chunk of rows at a time
+    into the values, so the call holds the values, the drivers and
+    chunk-sized temporaries; a transform acts on each row alone, so the
+    bits are those of one whole-batch transform.
+    """
     weights = synthesis_weights(spec, alpha)
     n = size(spec.q, spec.d)
 
@@ -62,7 +68,11 @@ def sample_field(spec: Spectrum, alpha: float, seed: int,
         return rng.standard_normal((m, n))
 
     driver = _mc.run_chunked(n_samples, seed, workers, draw, n)
-    values = dft(driver * weights[None, :], spec.q, spec.d, inverse=True)
+    values = np.empty(driver.shape, dtype=complex)
+    rows = chunk_rows(n)
+    for start in range(0, n_samples, rows):
+        values[start:start + rows] = dft(driver[start:start + rows] * weights,
+                                         spec.q, spec.d, inverse=True)
     return FieldSample(values, driver, alpha)
 
 

@@ -195,6 +195,14 @@ _ORTHO_2 = np.reciprocal(np.sqrt(2.0))
 _CHUNK_BYTES = 2**19
 
 
+def chunk_rows(n: int) -> int:
+    """Rows of n complex entries (16 bytes each) to a chunk of about
+    ``_CHUNK_BYTES``, one row when a row is larger: the chunks of
+    :func:`dft` and of the field paths that weight, transform or check a
+    batch one chunk at a time."""
+    return _CHUNK_BYTES // 16 // n or 1
+
+
 def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     """Unitary DFT over the lattice.
 
@@ -220,7 +228,7 @@ def dft(values, q: int, d: int, *, inverse: bool = False) -> np.ndarray:
     real = q == 2 and not np.iscomplexobj(f)
     src = f.reshape(batch, n)
     out = np.empty((batch, n), dtype=complex)
-    rows = _CHUNK_BYTES // out.itemsize // n or 1
+    rows = chunk_rows(n)
     # a real q = 2 input passes through the result's .real and .imag, and
     # a single pass needs no spare
     spare = None if real or d == 1 else np.empty_like(out[:rows])

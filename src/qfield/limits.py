@@ -181,36 +181,41 @@ def limit_krawtchouk_hermite(m_full, l, q: int) -> complex:
     return complex(limit_krawtchouk_batch(m_full, l, q)[0])
 
 
-def route_b_gathers(l, q: int, n: int) -> int:
-    """Values :func:`limit_krawtchouk_batch` gathers at n points: q for each
-    of at most C(|l|+q-1, q-1) coefficients (exactly that many to |l| = 2)."""
-    return math.comb(sum(l) + q - 1, q - 1) * q * n
+def route_b_cost(l, q: int, n: int) -> tuple[int, int]:
+    """(loop steps, gathered values) of :func:`limit_krawtchouk_batch` at n
+    points, for at most C(|l|+q-1, q-1) coefficients (exactly that many
+    to |l| = 2): per chunk of points, |l| + 1 Hermite rows and one add per
+    coefficient; q gathered values per coefficient and point."""
+    s = sum(l)
+    n_coeff = math.comb(s + q - 1, q - 1)
+    chunks = -(-n // _chunk_points(n_coeff * q))
+    return chunks * (s + 1 + n_coeff), n_coeff * q * n
 
 
-def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int,
-                           table: np.ndarray | None = None) -> np.ndarray:
+def _chunk_points(entries: int) -> int:
+    """Points to a chunk of route B with ``entries`` gathers per point."""
+    return max(1, _GATHER_ENTRIES // entries)
+
+
+def limit_krawtchouk_batch(m_samples: np.ndarray, l, q: int) -> np.ndarray:
     """Route-B evaluation over many full type vectors (n, q).
 
-    ``table`` is an optional ``hermite_table(k, m_samples, q)`` with
-    k >= |l|; its rows 0..|l| are the ones this call would build, so one
-    table serves every degree up to k.
+    The points go in chunks; each chunk builds its own Hermite rows
+    H_0..H_|l| with :func:`hermite_table`, elementwise and so equal bit
+    for bit to the rows of one whole-batch table.
     """
     m_samples = np.atleast_2d(np.asarray(m_samples, dtype=float))
     s = sum(int(v) for v in l)
-    if table is None:
-        table = hermite_table(s, m_samples, q)  # (s+1, n, q)
-    elif table.shape[0] <= s:
-        raise RangeError(f"a Hermite table of {table.shape[0]} rows cannot "
-                         f"serve degree {s}")
     a, coeff = _hermite_expansion_coeffs(tuple(int(v) for v in l), q)
     n = m_samples.shape[0]
     acc = np.zeros(n, dtype=complex)
     digits = np.arange(q)
-    step = max(1, _GATHER_ENTRIES // a.size)
+    step = _chunk_points(a.size)
     for start in range(0, n, step):
+        table = hermite_table(s, m_samples[start:start + step], q)
         # (n_coeff, q, points): H_{a[i, j]} at digit j of each point; the
         # product over digits is the left fold 1.0 * t_0 * t_1 ...
-        prod = np.multiply.reduce(table[a, start:start + step, digits], axis=1)
+        prod = np.multiply.reduce(table[a, :, digits], axis=1)
         terms = coeff[:, None] * prod
         out = acc[start:start + step]
         # summed in order from +0, one add per coefficient, as np.sum's
@@ -250,18 +255,20 @@ def transform_identity(omega, degrees, q: int, n_samples: int, seed: int
     E[e^(i w.M) Q_l(M; inf)] = E[e^(i w.M)] (i/q)^|l|
                                prod_k (sum_a w[a] theta_k^a)^l[k] / l[k]!.
 
-    Every degree reads the same ``n_samples`` draws of M from ``seed``, the
-    same phase e^(i w.M) and one Hermite table at the largest |l|, so each
-    triple equals the one a single-degree call with that seed returns.
+    Every degree reads the same ``n_samples`` draws of M from ``seed`` and
+    the same phase e^(i w.M), so each triple equals the one a
+    single-degree call with that seed returns.  Route B builds its
+    Hermite rows per chunk of points, and its loop steps and gathers for
+    every degree are charged before the draw.
     """
     omega = np.asarray(omega, dtype=float)
     degrees = [tuple(int(v) for v in l) for l in degrees]
+    costs = [route_b_cost(l, q, n_samples) for l in degrees]
     budget(f"the route-B gathers of {n_samples} draws at q={q}",
-           touched=sum(route_b_gathers(l, q, n_samples) for l in degrees))
+           steps=sum(c[0] for c in costs), touched=sum(c[1] for c in costs))
     m = _mc.run_chunked(n_samples, seed, 1,
                         lambda rng, k: sample_type_gaussian(q, k, rng), q)
     phase = np.exp(1j * m @ omega)
-    table = hermite_table(max((sum(l) for l in degrees), default=0), m, q)
     theta = roots(q)
     a = np.arange(q)
     char = gaussian_char(omega, q)
@@ -269,7 +276,7 @@ def transform_identity(omega, degrees, q: int, n_samples: int, seed: int
     for l in degrees:
         # phase on the left: complex products are not bitwise commutative
         mc, se = _mc.mean_and_stderr(
-            np.multiply(phase, limit_krawtchouk_batch(m, l, q, table)))
+            np.multiply(phase, limit_krawtchouk_batch(m, l, q)))
         rhs = char * (1j / q) ** sum(l)
         for k in range(1, q):
             rhs *= np.sum(omega * theta[(k * a) % q]) ** l[k - 1] \

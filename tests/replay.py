@@ -161,6 +161,15 @@ EDGE_ARGVS = [
      "-n", "900", "--seed", "7", "--out", "field-3-4.csv"],
     ["sample-field", "--law", _Q2.format(d=6), "--alpha", "0.5",
      "-n", "1100", "--seed", "8", "--out", "field-2-6.csv"],
+    # three Monte-Carlo blocks, the last one short, copied in order into
+    # one output, on one thread and two
+    *(["potts", "--law", _UNIFORM.format(q=2, d=6), "--alpha", "0.5",
+       "--beta", "0.3", "--n", "70000", "--seed", "9", "--threads", t]
+      for t in ("1", "2")),
+    ["sample-field", "--law", _LAZY, "--alpha", "0.5", "-n", "70000",
+     "--seed", "10", "--threads", "2", "--out", "field-70000.csv"],
+    ["limit", "--check", "transform", "--q", "3", "--mc", "70000",
+     "--seed", "2"],
 ]
 
 

@@ -796,6 +796,8 @@ OVER_BUDGET = {
     # the dual DP: 9 rows of l^+ over a 7^8 box
     "duality-9-6": ["krawtchouk", "--q", "9", "--d", "6", "--check",
                     "duality", "--max-degree", "1"],
+    # route B's loop steps: 1260789 at q = 7 and the default 200000 draws
+    "transform-7": ["limit", "--check", "transform", "--q", "7"],
     "transform-8": ["limit", "--check", "transform", "--q", "8"],
     "field-transform-9": ["limit", "--check", "field-transform", "--q", "9"],
 }

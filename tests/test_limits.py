@@ -131,15 +131,14 @@ def test_hermite_coefficients_take_one_dp(monkeypatch):
             array[0] = 0
 
 
-def test_limit_krawtchouk_batch_peak_is_the_table_build():
+def test_limit_krawtchouk_batch_peak_is_its_output_and_one_chunk():
     q, l, n = 4, (2, 1, 1), 400_000
-    # the (5, n, q) Hermite table, and either the one (n, q) temporary of
-    # its build or, once it is freed, the (n,) complex output with one
-    # chunk's gathered values, products and terms; 64 KiB for small objects.
-    # One (35, q, n) gather would add 448 MB.
-    table = 5 * n * q * 8
+    # the (n,) complex output with one chunk's Hermite rows, gathered
+    # values, products and terms; 64 KiB for small objects.  A (5, n, q)
+    # Hermite table of every point would add 64 MB, one (35, q, n) gather
+    # 448 MB.
     chunk = limits._GATHER_ENTRIES * (8 + 8 + 16)
-    bound = table + max(n * q * 8, n * 16 + chunk) + 2**16
+    bound = n * 16 + chunk + 2**16
     m = limits.sample_type_gaussian(q, n, np.random.default_rng(0))
     limits.limit_krawtchouk_batch(m[:10], l, q)  # the expansion, kept
     tracemalloc.start()
@@ -232,11 +231,25 @@ def test_limit_krawtchouk_batch_equals_its_loop_bit_for_bit(q):
     m[::7] *= 1e2
     m[::11] = 0.0
     m[::13] = -0.0
-    table = limits.hermite_table(4, m, q)
     for l in kw.degree_indices(q, 5, 4):
         want = _bits(_batch_reference(m, l, q))
         assert _bits(limits.limit_krawtchouk_batch(m, l, q)) == want, l
-        assert _bits(limits.limit_krawtchouk_batch(m, l, q, table)) == want, l
+        assert _bits(_whole_table_gather(m, l, q)) == want, l
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_route_b_cost_covers_the_loop_it_charges(q):
+    # the steps and gathers of limit_krawtchouk_batch's chunks, counted
+    # from its expansion: charged exactly to |l| = 2, at least beyond
+    n = 200_000
+    for l in kw.degree_indices(q, 4, 3):
+        a, _ = limits._hermite_expansion_coeffs(l, q)
+        chunks = -(-n // max(1, limits._GATHER_ENTRIES // a.size))
+        done = (chunks * (sum(l) + 1 + len(a)), a.size * n)
+        charged = limits.route_b_cost(l, q, n)
+        if sum(l) <= 2:
+            assert charged == done, l
+        assert charged[0] >= done[0] and charged[1] >= done[1], l
 
 
 def test_limit_krawtchouk_degree_one_is_linear_form():
@@ -375,15 +388,31 @@ def test_transform_identity_degrees_share_one_draw_bit_for_bit(q):
         assert (triple[0], triple[2]) == (mc, se), l
 
 
-def test_krawtchouk_batch_shared_table_bit_for_bit():
+def _whole_table_gather(m_samples, l, q):
+    """Route B as it ran on one Hermite table of every point: the chunks
+    of points gather their rows from that table."""
+    table = limits.hermite_table(sum(l), m_samples, q)
+    a, coeff = limits._hermite_expansion_coeffs(tuple(l), q)
+    acc = np.zeros(m_samples.shape[0], dtype=complex)
+    step = max(1, limits._GATHER_ENTRIES // a.size)
+    for start in range(0, m_samples.shape[0], step):
+        prod = np.multiply.reduce(table[a, start:start + step, np.arange(q)],
+                                  axis=1)
+        out = acc[start:start + step]
+        for term in coeff[:, None] * prod:
+            out += term
+    return acc
+
+
+def test_krawtchouk_batch_equals_the_whole_table_gather_bit_for_bit():
+    # 20000 points are several chunks at every degree |l| >= 1: rows built
+    # per chunk give the bits of rows gathered from one table of every point
     q = 3
-    m = limits.sample_type_gaussian(q, 500, np.random.default_rng(4))
-    table = limits.hermite_table(4, m, q)
+    m = limits.sample_type_gaussian(q, 20000, np.random.default_rng(4))
+    m[::9] *= 1e3
     for l in kw.degree_indices(q, 5, 4):
-        assert np.array_equal(limits.limit_krawtchouk_batch(m, l, q, table),
-                              limits.limit_krawtchouk_batch(m, l, q))
-    with pytest.raises(lattice.RangeError):
-        limits.limit_krawtchouk_batch(m, (3, 2), q, table)
+        assert _bits(limits.limit_krawtchouk_batch(m, l, q)) \
+            == _bits(_whole_table_gather(m, l, q)), l
 
 
 def test_limit_green_density_truncation_monotone_at_center():

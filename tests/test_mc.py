@@ -40,6 +40,21 @@ def test_one_block_returns_the_drawn_array():
     assert _mc.run_chunked(5, 0, 4, lambda rng, m: drawn, 2) is drawn
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("short, error", [
+    (lambda m: np.zeros((m, 2), dtype=np.float32), TypeError),
+    (lambda m: np.zeros((m, 3)), ValueError),
+    (lambda m: np.zeros((m, 1)), ValueError),  # would broadcast
+], ids=["dtype", "row", "broadcast-row"])
+def test_a_block_unlike_the_first_raises(short, error, workers):
+    # the short last block differs from the first: never cast or broadcast
+    def draw(rng, m):
+        return np.zeros((m, 2)) if m == _mc.BLOCK else short(m)
+
+    with pytest.raises(error):
+        _mc.run_chunked(SPAN, 0, workers, draw, 2)
+
+
 @pytest.mark.parametrize("total, workers", [(0, 1), (-3, 1), (10, 0)])
 def test_no_draws_or_no_workers_is_a_range_error(total, workers):
     with pytest.raises(lattice.RangeError):

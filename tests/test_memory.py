@@ -1,6 +1,7 @@
 """Peak-memory guards for the dense N^2 layers, one Green row, the lattice
 transform, the field inversion, the Krawtchouk table, the Potts partition
-function, the ``potts`` Monte Carlo and the Gibbs weights.
+function, the ``potts`` and ``sample-field`` Monte Carlo, the transform
+identity, the Monte-Carlo blocks and the Gibbs weights.
 
 numpy reports its data buffers to ``tracemalloc``, so the traced peak of
 one call is the memory that call allocates, output included.
@@ -12,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfield import cli, fields, green, hamiltonian, krawtchouk, lattice, walks
+from qfield import (_mc, cli, fields, green, hamiltonian, krawtchouk, lattice,
+                    limits, walks)
 
 
 def _traced_peak(fn, *args):
@@ -110,8 +112,9 @@ def test_real_matrix_csv_peak_is_below_the_matrix(tmp_path):
 
 
 def test_potts_peak_is_the_drivers_and_the_fields(capsys):
-    # 20000 fields on (2, 6): drivers, weighted drivers and complex fields
-    # are 4 float64 arrays of n x 64; the reductions read the real part
+    # 20000 fields on (2, 6): drivers and complex fields are 3 float64
+    # arrays of n x 64, weighted and transformed a chunk of rows at a time;
+    # the drivers are freed before var(H) and beta H, which take one more
     n = 20000
     law = '{"variant": "uniform", "q": 2, "d": 6}'
 
@@ -122,7 +125,53 @@ def test_potts_peak_is_the_drivers_and_the_fields(capsys):
     potts(2)  # imports and first-call caches stay out of the peak
     code, peak = _traced_peak(potts, n)
     assert code == 0 and '"mc_var_h"' in capsys.readouterr().out
-    assert peak <= 4 * n * 64 * 8 + 2**20, peak / (n * 64 * 8)
+    assert peak <= 3 * n * 64 * 8 + 2 * lattice._CHUNK_BYTES, (
+        peak / (n * 64 * 8))
+
+
+@pytest.mark.parametrize("q,d", [(2, 6), (3, 4)])
+def test_sample_field_cli_peak_is_the_drivers_and_the_fields(q, d, tmp_path):
+    # drivers and complex fields are 3 float64 arrays of n x q^d; beside
+    # them the CSV holds one block (its floats, their Python floats and
+    # list) and the transform and the inversion residual a few chunks.
+    # A whole-batch weighting or residual would add at least one more array.
+    n = 5000
+    law = f'{{"variant": "uniform", "q": {q}, "d": {d}}}'
+    out = str(tmp_path / "g.csv")
+
+    def sample_field(samples):
+        return cli.main(["sample-field", "--law", law, "--alpha", "0.5",
+                         "-n", str(samples), "--seed", "1", "--out", out])
+
+    sample_field(2)  # imports and first-call caches stay out of the peak
+    code, peak = _traced_peak(sample_field, n)
+    assert code == 0
+    fields_bytes = 3 * n * q**d * 8
+    csv_block = 48 * cli._CSV_BLOCK_VALUES
+    assert peak <= fields_bytes + csv_block + 4 * lattice._CHUNK_BYTES, (
+        (peak - fields_bytes) / lattice._CHUNK_BYTES)
+
+
+def test_transform_identity_peak_is_four_complex_arrays():
+    # at q = 2 the (n, 2) draws are one complex array of n, and so is each
+    # of the phase, route B's output and the phase times it; the Hermite
+    # rows are built per chunk of points (a whole table would add 5 arrays)
+    q, n = 2, 400_000
+    omega = np.array([0.0, 0.7])
+    degrees = krawtchouk.degree_indices(q, 3, 2)
+    limits.transform_identity(omega, degrees, q, 100, 1)  # first-call caches
+    _, peak = _traced_peak(limits.transform_identity, omega, degrees, q, n, 1)
+    assert peak <= 4 * n * 16 + 2**20, peak / (n * 16)
+
+
+def test_run_chunked_peak_is_one_output_and_one_block():
+    # five blocks and a short sixth, one worker: each block is copied into
+    # the output and let go before the next is drawn
+    total, row = 5 * _mc.BLOCK + 7, 8
+    out, peak = _traced_peak(_mc.run_chunked, total, 0, 1, lambda rng, m:
+                             rng.standard_normal((m, row)), row)
+    block = _mc.BLOCK * row * 8
+    assert peak <= out.nbytes + block + 2**16, (peak - out.nbytes) / block
 
 
 def test_gibbs_peak_is_its_output():
