@@ -4,14 +4,15 @@ Every stochastic routine takes an explicit integer seed.  The draws are
 cut into blocks of ``BLOCK``; block i draws from its own substream
 ``SeedSequence(seed, spawn_key=(i,))`` and the blocks are copied, in block
 order and as they arrive, into one output, so a run holds that output and
-the blocks not yet copied.  A worker count only decides how many threads
-run the blocks, so output never depends on it, nor on scheduling.  A run
-is charged against the entry budget from its caller's row width before
-any block draws.
+the blocks not yet copied, at most one more than the workers.  A worker
+count only decides how many threads run the blocks, so output never
+depends on it, nor on scheduling.  A run is charged against the entry
+budget from its caller's row width before any block draws.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
@@ -35,7 +36,8 @@ def run_chunked(
     against the entry budget before any block runs; one block returns
     ``draw``'s array itself.  More blocks are copied, on the calling
     thread, into one output with the first block's dtype and row shape;
-    a block that differs from it in either raises.
+    a block that differs from it in either raises.  At most ``workers`` + 1
+    blocks are submitted and not yet copied.
     """
     if total < 1 or workers < 1:
         raise RangeError(f"need total >= 1 and workers >= 1, "
@@ -52,7 +54,20 @@ def run_chunked(
     if workers == 1:
         return _join(map(block, range(n_blocks)), total)
     with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-        return _join(pool.map(block, range(n_blocks)), total)
+        return _join(_in_order(pool, block, n_blocks, workers + 1), total)
+
+
+def _in_order(pool: ThreadPoolExecutor, fn: Callable[[int], np.ndarray],
+              n: int, depth: int) -> Iterator[np.ndarray]:
+    """fn(0), .., fn(n - 1) run on ``pool`` and handed on in order, with
+    at most ``depth`` of them submitted and not yet handed on."""
+    pending = deque()
+    for i in range(n):
+        pending.append(pool.submit(fn, i))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _join(blocks: Iterator[np.ndarray], total: int) -> np.ndarray:

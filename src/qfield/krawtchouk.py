@@ -5,11 +5,13 @@ Q_l(m) is the coefficient of w_1^l[1] .. w_{q-1}^l[q-1] in
     prod_{j=0}^{q-1} (1 + sum_{k=1}^{q-1} w_k theta_k^j)^m[j],
 
 theta_k = exp(2*pi*i*k/q), extracted by one dynamic program (DP) over a
-batch of count vectors: truncated componentwise at the largest degree
-asked for on each axis, the |m| passes of q steps over the box L that
-each m needs yield Q_l(m) for every l in L.  :func:`dp_budget` charges
-that plan, for the whole batch in the DP and for every caller that
-refuses its DPs ahead.  The inverse squared norms
+batch of count vectors.  The DP keeps one flat index of coefficients, the
+j <= top with |j| <= total in lex order, top the largest degree asked for
+on each axis and total the largest |l|; the |m| passes of q steps over it
+that each m needs yield Q_l(m) for every l asked for.  :func:`dp_cells`
+sizes that index, exactly for a whole simplex |j| <= L and for a single
+degree, and :func:`dp_budget` charges the plan, for the whole batch in the
+DP and for every caller that refuses its DPs ahead.  The inverse squared norms
 h_l^-1 = d!/((d-|l|)! prod l[k]!) are computed in integer arithmetic.
 
 These polynomials diagonalize the type-count chain of walks with
@@ -28,6 +30,7 @@ Count vectors m and p(m; d) are the lattice's type classes
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,14 +69,52 @@ def _check_counts(m, q: int, ndims=(1,)) -> np.ndarray:
 # one chunk of the batched DP holds at most this many coefficients: 128 KiB
 # of complex128 per array, so the DP's few chunk-sized arrays stay in cache
 _CHUNK_ENTRIES = 2**13
+# DP plans kept per (top, total): route A asks for one per degree
+_PLAN_CACHE = 256
 
 
-def dp_budget(what: str, rows: int, passes: int, q: int, box: int,
+def dp_cells(top, total: int) -> int:
+    """Coefficients of the DP over the degrees j <= top with |j| <= total:
+    exact for a whole simplex and for a single degree, at most that else."""
+    return min(math.comb(total + len(top), len(top)),
+               math.prod(t + 1 for t in top))
+
+
+def dp_budget(what: str, rows: int, passes: int, q: int, cells: int,
               entries: int = 0) -> None:
     """Refuse a DP plan: ``rows`` count vectors, ``passes`` passes each of
-    one copy and q - 1 shifted adds, every step touching ``box`` entries."""
+    one copy and q - 1 shifted adds, every step touching ``cells``
+    coefficients."""
     steps = rows * passes * q
-    budget(what, entries=entries, steps=steps, touched=steps * box)
+    budget(what, entries=entries, steps=steps, touched=steps * cells)
+
+
+def _as_slice(pos: np.ndarray):
+    """Positions spaced by one step as a slice, which numpy reads faster."""
+    step = int(pos[1] - pos[0]) if len(pos) > 1 else 1
+    if step > 0 and np.all(np.diff(pos) == step):
+        return slice(int(pos[0]), int(pos[-1]) + 1, step)
+    return pos
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _dp_plan(top: tuple[int, ...], total: int) -> tuple[dict, list]:
+    """The DP's coefficient index, each j <= top with |j| <= total in lex
+    order mapped to its position, and per axis k the positions (dst, src)
+    of j + e_k and j, the shift by w_k."""
+    cells = [()]
+    for t in top:
+        cells = [c + (v,) for c in cells
+                 for v in range(min(t, total - sum(c)) + 1)]
+    where = {c: p for p, c in enumerate(cells)}
+    below = [(p, c) for p, c in enumerate(cells) if sum(c) < total]
+    shifts = []
+    for a, t in enumerate(top):
+        pairs = [(where[c[:a] + (c[a] + 1,) + c[a + 1:]], p)
+                 for p, c in below if c[a] < t]
+        if pairs:
+            shifts.append((a + 1, *map(_as_slice, np.array(pairs).T)))
+    return where, shifts
 
 
 def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
@@ -82,41 +123,39 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     (n, q) array: shape (n_degrees,) or (n, n_degrees), whose transpose is
     C-contiguous.  Entries with |l| > sum(m) come out exactly 0.
 
-    All rows run through the same DP passes over one box, truncated at the
-    largest degree on each axis, that keeps only the axes of extent > 1
-    (numpy arrays have at most 64).  Before digit j the rows are put in
-    order of m[j], most first, so pass a of digit j is one copy and one
-    shifted add per box axis on the leading rows with m[j] > a: each row
-    sees the operations of its own DP, and its values equal that DP bit
-    for bit.  Rows go in chunks of at most ``_CHUNK_ENTRIES``
-    coefficients, or of one row where its box alone is larger.
+    All rows run through the same DP passes over the coefficients j <= top
+    with |j| <= total, top the largest degree on each axis and total the
+    largest |l|: each j reads only coefficients below it, so its value is
+    the one of the untruncated product.  Before digit j the rows are put
+    in order of m[j], most first, so pass a of digit j is one copy and one
+    shifted add per axis on the leading rows with m[j] > a: each row sees
+    the operations of its own DP, and its values equal that DP bit for
+    bit.  Rows go in chunks of at most ``_CHUNK_ENTRIES`` coefficients, or
+    of one row where its coefficients alone are more.
     """
     m = _check_counts(m, q, ndims=(1, 2))
     rows = m.reshape(-1, q)
     degrees = np.asarray(degrees, dtype=np.int64).reshape(-1, q - 1)
-    top = np.max(degrees, axis=0, initial=0).tolist()
-    # all-zero degrees keep w_1's axis, of extent 1
-    keep = [k for k in range(q - 1) if top[k]] or [0]
-    box = tuple(top[k] + 1 for k in keep)
-    n = math.prod(box)
-    if len(rows):
-        passes = int(rows.sum(axis=1).max())
-        dp_budget(f"the Krawtchouk DP at q={q}, |m|={passes}", len(rows),
-                  passes, q, n, entries=2 * n)
     # degree-major, so that the (n_degrees, n) transpose is C-contiguous
     out = np.empty((len(degrees), len(rows)), dtype=complex).T
-    # multiplying by w_k shifts the coefficients one step up w_k's axis,
-    # axis a of the (rows,) + box array
-    shifts = [(k + 1, (slice(None),) * a + (slice(1, None),),
-               (slice(None),) * a + (slice(0, -1),))
-              for a, k in enumerate(keep, start=1) if top[k]]
+    if not len(rows):
+        return out
+    top = tuple(np.max(degrees, axis=0, initial=0).tolist())
+    total = int(np.max(degrees.sum(axis=1), initial=0))
+    passes = int(rows.sum(axis=1).max())
+    # per coefficient: the chunk and its copy, its index tuple of q - 1
+    # slots and at most q - 1 shift pairs
+    n = dp_cells(top, total)
+    dp_budget(f"the Krawtchouk DP at q={q}, |m|={passes}", len(rows),
+              passes, q, n, entries=3 * q * n)
+    index, shifts = _dp_plan(top, total)
+    picks = [index[l] for l in map(tuple, degrees.tolist())]
     theta = roots(q)
-    picks = (slice(None),) + tuple(degrees[:, k] for k in keep)
-    step = max(1, _CHUNK_ENTRIES // n)
+    step = max(1, _CHUNK_ENTRIES // len(index))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
-        coef = np.zeros((len(chunk),) + box, dtype=complex)
-        coef[(slice(None),) + (0,) * len(box)] = 1.0
+        coef = np.zeros((len(chunk), len(index)), dtype=complex)
+        coef[:, 0] = 1.0
         held = list(range(len(chunk)))  # coef row p holds chunk row held[p]
         for j, column in enumerate(chunk.T.tolist()):
             # the rows by m[j], most first: pass a of digit j runs on the
@@ -131,8 +170,8 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
                 head = coef[:live]
                 old = head.copy()
                 for k, dst, src in shifts:
-                    head[dst] += theta[(k * j) % q] * old[src]
-        out[start:start + len(chunk)][held] = coef[picks]
+                    head[:, dst] += theta[(k * j) % q] * old[:, src]
+        out[start:start + len(chunk)][held] = coef[:, picks]
     return out if m.ndim == 2 else out[0]
 
 
@@ -205,15 +244,21 @@ def table(q: int, d: int, max_degree: int | None = None) -> KrawtchoukTable:
     return KrawtchoukTable(q, d, degrees, counts, values, h_inv)
 
 
-def _check_count_budget(q: int, d: int, max_degree: int | None) -> int:
+def _check_count_budget(q: int, d: int, max_degree: int | None,
+                        dual: bool = False, gram: bool = False) -> int:
     """Refuse, before anything is built, the (C(L+q-1, q-1), n) table of an
-    exact check, L = min(max_degree, d), and its DP over n count vectors;
-    return L."""
+    exact check, L = min(max_degree, d), and its DP over the n count
+    vectors; with ``dual`` also the DP over the table's degrees, whose
+    coefficients are the n count vectors, and with ``gram`` the table's
+    Gram product.  Return L."""
     n = math.comb(d + q - 1, q - 1)
     cap = d if max_degree is None else max(0, min(max_degree, d))
-    entries = n * math.comb(cap + q - 1, q - 1)
-    dp_budget(f"{n} count vectors and {entries} table entries at q={q}, "
-              f"d={d}, degree <= {cap}", n, d, q, (cap + 1) ** (q - 1), entries)
+    cells = dp_cells((cap,) * (q - 1), cap)
+    entries = n * cells
+    budget(f"{n} count vectors and {entries} table entries at q={q}, "
+           f"d={d}, degree <= {cap}", entries=entries,
+           steps=(n + dual * cells) * d * q,
+           touched=((1 + dual) * d * q + gram * cells) * entries)
     return cap
 
 
@@ -222,7 +267,7 @@ def orthogonality_residual(q: int, d: int, max_degree: int | None = None,
     """max_{l,l'} | E[Q_l conj(Q_l')] / sqrt(h_l^-1 h_l'^-1) - delta_{ll'} |
     over the multinomial: the Gram matrix of the normalized polynomials
     against the identity, a relative residual at every d."""
-    _check_count_budget(q, d, max_degree)
+    _check_count_budget(q, d, max_degree, gram=True)
     if tab is None:
         tab = table(q, d, max_degree)
     weights = np.array([multinomial_pmf(m, d, q) for m in tab.counts])
@@ -252,11 +297,9 @@ def duality_residual(m, l, q: int) -> float:
 def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float:
     """max of :func:`duality_residual` over |l| <= max_degree and |m| = d:
     Q_l(m) from one table, the duals Q_{m^-}(l^+) for every l and m from
-    one batched DP over the l^+, charged before the table."""
-    cap = _check_count_budget(q, d, max_degree)
-    box = (d + 1) ** (q - 1)  # the m^- reach d on every axis
-    dp_budget(f"the Krawtchouk DP at q={q}, |m|={d}",
-              math.comb(cap + q - 1, q - 1), d, q, box, entries=2 * box)
+    one batched DP over the l^+.  That DP is the table's with rows and
+    coefficients swapped, so one plan charges both before the table."""
+    _check_count_budget(q, d, max_degree, dual=True)
     tab = table(q, d, max_degree)
     m_minus = [m[1:] for m in tab.counts]
     h_inv_m = np.array([scale_constant_inv(v, d) for v in m_minus], dtype=float)
@@ -271,16 +314,17 @@ def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float
     return worst
 
 
-def route_a_budget(q: int, d: int, l) -> None:
-    """Refuse route A's DPs at degree l from (q, d) alone."""
-    dp_budget(f"route A at q={q}, d={d}", math.comb(d + q - 1, q - 1), d, q,
-              math.prod(v + 1 for v in l))
+def route_a_budget(q: int, d: int, degrees) -> None:
+    """Refuse route A's DPs, one per degree in ``degrees``, from (q, d)."""
+    steps = math.comb(d + q - 1, q - 1) * d * q
+    budget(f"route A at q={q}, d={d}", steps=steps * len(degrees),
+           touched=steps * sum(dp_cells(l, sum(l)) for l in degrees))
 
 
 def kappa_route_counts(law: IncrementLaw, l) -> complex:
     """Route A: kappa_l = h_l sum_m P(counts of V = m) Q_l(m)."""
     l = _check_degree(l, law.q)
-    route_a_budget(law.q, law.d, l)
+    route_a_budget(law.q, law.d, [l])
     h_l = 1.0 / scale_constant_inv(l, law.d)
     counts = law.count_law()
     values = krawtchouk_values(list(counts), [l], law.q)[:, 0].tolist()

@@ -30,7 +30,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from . import _mc
 from .green import grouped_sum
-from .krawtchouk import (degree_indices, dp_budget, kappa_getter,
+from .krawtchouk import (degree_indices, dp_budget, dp_cells, kappa_getter,
                          krawtchouk_values)
 from .lattice import RangeError, budget, count_vectors, multinomial_pmf, roots
 from .pointprocess import PointProcessSpec, kappa, lazy_spec, y_moment
@@ -443,14 +443,19 @@ def check_table(check: str, q: int, alpha: float, mc: int | None, seed: int
         result = {"max_residual": stat}
     elif check == "limit-kraw":
         # route B's kept expansion runs one DP per degree, whatever the
-        # points: 4 passes over a 5^(q-1) box (past q = 65, 5^64 reads
-        # "more than 2^64")
+        # points: 4 passes over the coefficients of |a| <= 4; then its loop
+        # runs per degree at each point
+        points = 10
         dp_budget(f"limit-kraw at q={q}", math.comb(q + 3, 4), 4, q,
-                  5 ** min(q - 1, 64))
+                  dp_cells((4,) * (q - 1), 4))
+        degrees = degree_indices(q, 5, 4)
+        costs = [route_b_cost(l, q, 1) for l in degrees]
+        budget(f"limit-kraw at q={q}", steps=points * sum(c[0] for c in costs),
+               touched=points * sum(c[1] for c in costs))
         stat = 0.0
-        for _ in range(10):
+        for _ in range(points):
             m = full_type_vector(rng.standard_normal(q - 1), q)
-            for l in degree_indices(q, 5, 4):
+            for l in degrees:
                 stat = max(stat, abs(limit_krawtchouk_series(m, l, q)
                                      - limit_krawtchouk_hermite(m, l, q)))
         result = {"max_route_gap": stat}

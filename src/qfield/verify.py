@@ -67,10 +67,12 @@ def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
         checks.append(_check("green_psd", max(0.0, -eigmin), 1e-10 * tol_scale))
 
     # grouped eigenvalue routes and the multinomial grouping identity; route
-    # A's steps at l = 0 are known from (q, d) before any degree is listed
+    # A's steps at l = 0 are known from (q, d) before any degree is listed,
+    # and its run at every degree once they are
     deg_cap = min(d, 3)
-    krawtchouk.route_a_budget(q, d, ())
+    krawtchouk.route_a_budget(q, d, [()])
     degs = krawtchouk.degree_indices(q, d, deg_cap)
+    krawtchouk.route_a_budget(q, d, degs)
     route_gap = max(abs(krawtchouk.kappa_route_counts(law, l)
                         - krawtchouk.kappa_route_transform(law, l))
                     for l in degs)

@@ -131,11 +131,26 @@ EDGE_ARGVS = [
      "--max-degree", "1"],
     ["krawtchouk", "--q", "9", "--d", "6", "--check", "duality",
      "--max-degree", "1"],
-    # more than 64 types, one past numpy's array axes per Krawtchouk w_k
+    # the DP over the degree simplex: a q = 5 table, the Gram product and
+    # both DPs of the duality check charged ahead, the route-gap loop of
+    # verify at one route-A run per degree
+    ["krawtchouk", "--q", "5", "--d", "8", "--check", "orthogonality"],
+    ["krawtchouk", "--q", "8", "--d", "7", "--check", "orthogonality"],
+    ["krawtchouk", "--q", "4", "--d", "19", "--check", "orthogonality"],
+    ["krawtchouk", "--q", "9", "--d", "6", "--check", "duality"],
+    ["verify", "--q", "7", "--d", "4"],
+    ["verify", "--q", "8", "--d", "4"],
+    ["verify", "--q", "101", "--d", "1"],
+    ["verify", "--q", "102", "--d", "1"],
+    ["verify", "--q", "400", "--d", "1"],
+    # more than 64 types, past numpy's array axes were there one per w_k
     ["kappa", "--law", _UNIFORM.format(q=70, d=1),
      "--l", ",".join(["1"] + ["0"] * 68)],
     ["krawtchouk", "--q", "70", "--d", "1", "--l", ",".join(["1"] + ["0"] * 68),
      "--m", ",".join(["1"] + ["0"] * 69)],
+    ["krawtchouk", "--q", "66", "--d", "3",
+     "--l", ",".join(["1", "2"] + ["0"] * 63),
+     "--m", ",".join(["1", "1", "1"] + ["0"] * 63)],
     ["verify", "--q", "70", "--d", "1"],
     ["limit", "--check", "transform", "--q", "66"],
     # real q = 2 fields transformed inside their result: potts over three

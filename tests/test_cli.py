@@ -713,8 +713,9 @@ def test_limit_kraw_refuses_a_large_q_before_building(q):
 
 
 def test_limit_kraw_at_q8_is_inside_the_budget(monkeypatch):
-    # route B runs one DP per degree, so q = 8 is charged 816225 steps; the
-    # routes themselves take seconds there, so both are stubbed
+    # route B's DPs are charged 13964 steps at q = 8 and its loop at the 10
+    # points 825585; the routes themselves take seconds there, so both are
+    # stubbed
     monkeypatch.setattr(limits, "limit_krawtchouk_series", lambda m, l, q: 0j)
     monkeypatch.setattr(limits, "limit_krawtchouk_hermite", lambda m, l, q: 0j)
     code, out, err = run_main(["limit", "--check", "limit-kraw", "--q", "8"])
@@ -793,9 +794,10 @@ OVER_BUDGET = {
                        "--row", ",".join(["0"] * 20)],
     # 4096 count vectors of 4096 types: no recursion per type
     "verify-4096-1": ["verify", "--q", "4096", "--d", "1"],
-    # the dual DP: 9 rows of l^+ over a 7^8 box
+    # the table DP and the dual DP, 3003 rows over 3003 coefficients each:
+    # one of them alone is inside the budget
     "duality-9-6": ["krawtchouk", "--q", "9", "--d", "6", "--check",
-                    "duality", "--max-degree", "1"],
+                    "duality"],
     # route B's loop steps: 1260789 at q = 7 and the default 200000 draws
     "transform-7": ["limit", "--check", "transform", "--q", "7"],
     "transform-8": ["limit", "--check", "transform", "--q", "8"],
@@ -821,8 +823,8 @@ def test_over_budget_argv_exits_2_at_once(argv):
                      r"the (entry|step) budget of \d+$", line), line
 
 
-# q >= 65 types: one Krawtchouk box axis per k = 1..q-1 would pass numpy's
-# 64 array axes
+# q >= 65 types: one array axis per w_k would pass numpy's 64; the
+# Krawtchouk DP keeps its coefficients in one flat index
 _DEGREE_69 = ",".join(["1"] + ["0"] * 68)
 PAST_64_AXES = {
     "kappa-70": ["kappa", "--law", '{"variant":"uniform","q":70,"d":1}',

@@ -408,8 +408,9 @@ def _traced_peak(fn, *args):
 
 
 def test_dp_box_is_budgeted_before_it_is_allocated():
-    # |l| <= 3 on each of 15 axes: a 4^15-entry complex box, 16 GiB
-    degrees = [tuple(3 * (j == k) for j in range(15)) for k in range(15)]
+    # |l| <= 12 on 15 axes: C(27, 15) = 17383860 coefficients, 278 MB of
+    # complex, charged before the plan lists one of them
+    degrees = [tuple(12 * (j == k) for j in range(15)) for k in range(15)]
 
     def refused():
         with pytest.raises(lattice.RangeError, match="Krawtchouk DP at q=16"):
@@ -435,7 +436,7 @@ def test_degree_indices_are_budgeted_before_they_are_enumerated():
 
 def _record_charges_and_dps(monkeypatch):
     """Every ``lattice.budget`` call as ("charge", touched), and every
-    Krawtchouk DP run as ("dp", rows * passes * q * box) when it starts and
+    Krawtchouk DP run as ("dp", rows * passes * q * cells) when it starts and
     ("done", 0) when it returns, in call order."""
     events, charge, dp = [], lattice.budget, kw.krawtchouk_values
 
@@ -445,9 +446,13 @@ def _record_charges_and_dps(monkeypatch):
 
     def recording_dp(m, degrees, q):
         rows = np.asarray(m).reshape(-1, q)
-        top = np.max(np.reshape(degrees, (-1, q - 1)), axis=0, initial=0)
+        degrees = np.reshape(degrees, (-1, q - 1))
+        top = np.max(degrees, axis=0, initial=0).tolist()
+        total = int(degrees.sum(axis=1).max(initial=0))
+        cells = min(math.comb(total + q - 1, q - 1),
+                    math.prod(t + 1 for t in top))
         events.append(("dp", len(rows) * int(rows.sum(axis=1).max())
-                       * q * math.prod((top + 1).tolist())))
+                       * q * cells))
         out = dp(m, degrees, q)
         events.append(("done", 0))
         return out

@@ -8,6 +8,7 @@ one call is the memory that call allocates, output included.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,17 @@ def test_run_chunked_peak_is_one_output_and_one_block():
                              rng.standard_normal((m, row)), row)
     block = _mc.BLOCK * row * 8
     assert peak <= out.nbytes + block + 2**16, (peak - out.nbytes) / block
+
+    # two workers, block 0 the slowest: the other worker draws ahead by at
+    # most the three blocks in flight, not by all the rest
+    def slow_first(rng, m):
+        if rng.bit_generator.seed_seq.spawn_key == (0,):
+            time.sleep(0.2)
+        return rng.standard_normal((m, row))
+
+    out2, peak = _traced_peak(_mc.run_chunked, total, 0, 2, slow_first, row)
+    assert np.array_equal(out2, out)
+    assert peak <= out.nbytes + 3 * block + 2**16, (peak - out.nbytes) / block
 
 
 def test_gibbs_peak_is_its_output():
