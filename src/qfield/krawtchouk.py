@@ -5,14 +5,14 @@ Q_l(m) is the coefficient of w_1^l[1] .. w_{q-1}^l[q-1] in
     prod_{j=0}^{q-1} (1 + sum_{k=1}^{q-1} w_k theta_k^j)^m[j],
 
 theta_k = exp(2*pi*i*k/q), extracted by one dynamic program (DP) over a
-batch of count vectors.  The DP keeps one flat index of coefficients, the
-j <= top with |j| <= total in lex order, top the largest degree asked for
-on each axis and total the largest |l|; the |m| passes of q steps over it
-that each m needs yield Q_l(m) for every l asked for.  :func:`dp_cells`
-sizes that index, exactly for a whole simplex |j| <= L and for a single
-degree, and :func:`dp_budget` charges the plan, for the whole batch in the
-DP and for every caller that refuses its DPs ahead.  The inverse squared norms
-h_l^-1 = d!/((d-|l|)! prod l[k]!) are computed in integer arithmetic.
+batch of count vectors.  The DP keeps one flat index of coefficients in
+lex order, the box j <= top or, where fewer, the simplex |j| <= total, top
+the largest degree asked for on each axis and total the largest |l|; the
+|m| passes of q steps over it that each m needs yield Q_l(m) for every l
+asked for.  :func:`dp_cells` sizes that index and :func:`dp_budget`
+charges DP plans, for the whole batch in the DP and for every caller that
+refuses its DPs ahead.  The inverse squared norms h_l^-1 =
+d!/((d-|l|)! prod l[k]!) are computed in integer arithmetic.
 
 These polynomials diagonalize the type-count chain of walks with
 exchangeable increments.  Grouped eigenvalues kappa_l come from the law
@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -69,52 +71,93 @@ def _check_counts(m, q: int, ndims=(1,)) -> np.ndarray:
 # one chunk of the batched DP holds at most this many coefficients: 128 KiB
 # of complex128 per array, so the DP's few chunk-sized arrays stay in cache
 _CHUNK_ENTRIES = 2**13
-# DP plans kept per (top, total): route A asks for one per degree
-_PLAN_CACHE = 256
+# simplex plans kept, those of at most _CHUNK_ENTRIES coefficients, each
+# under 2^15 positions: a pass of the grouped-counts benchmark asks for 12
+# distinct ones 89 times
+_PLAN_CACHE = 16
 
 
 def dp_cells(top, total: int) -> int:
     """Coefficients of the DP over the degrees j <= top with |j| <= total:
-    exact for a whole simplex and for a single degree, at most that else."""
-    return min(math.comb(total + len(top), len(top)),
-               math.prod(t + 1 for t in top))
+    the fewer of the box j <= top and the simplex |j| <= total."""
+    cells, box = math.comb(total + len(top), len(top)), 1
+    for t in top:  # stops past the simplex, before the product grows huge
+        box *= t + 1
+        if box > cells:
+            return cells
+    return box
 
 
-def dp_budget(what: str, rows: int, passes: int, q: int, cells: int,
-              entries: int = 0) -> None:
-    """Refuse a DP plan: ``rows`` count vectors, ``passes`` passes each of
-    one copy and q - 1 shifted adds, every step touching ``cells``
+def dp_budget(what: str, q: int, plans, entries: int = 0, steps: int = 0,
+              touched: int = 0) -> None:
+    """Refuse DP plans (rows, passes, cells), on top of ``steps`` and
+    ``touched`` of other work: ``rows`` count vectors, ``passes`` passes
+    each of one copy and q - 1 shifted adds, every step touching ``cells``
     coefficients."""
-    steps = rows * passes * q
-    budget(what, entries=entries, steps=steps, touched=steps * cells)
+    for rows, passes, cells in plans:
+        steps += rows * passes * q
+        touched += rows * passes * q * cells
+    budget(what, entries=entries, steps=steps, touched=touched)
 
 
-def _as_slice(pos: np.ndarray):
-    """Positions spaced by one step as a slice, which numpy reads faster."""
-    step = int(pos[1] - pos[0]) if len(pos) > 1 else 1
-    if step > 0 and np.all(np.diff(pos) == step):
-        return slice(int(pos[0]), int(pos[-1]) + 1, step)
-    return pos
+def _dp_plan(top: tuple[int, ...], total: int, boxed: bool,
+             degrees: np.ndarray):
+    """The DP's coefficients, the box j <= top if ``boxed`` else the
+    simplex |j| <= total, in lex order: the shape they are viewed in past
+    the rows axis, the positions of ``degrees``, and per axis k the shift
+    by w_k from j to j + e_k as index tuples (dst, src) into that view."""
+    if boxed:
+        # the box, viewed over its axes of extent > 1 (within the entry
+        # budget at most 23): each shift is a slice
+        keep = [k for k, t in enumerate(top) if t]
+        stride = list(itertools.accumulate((t + 1 for t in top[:0:-1]),
+                                           operator.mul, initial=1))[::-1]
+        shifts = [(k + 1, (slice(None),) * (a + 1) + (slice(1, None),),
+                   (slice(None),) * (a + 1) + (slice(None, -1),))
+                  for a, k in enumerate(keep)]
+        return tuple(top[k] + 1 for k in keep), shifts, degrees @ stride
+    cells = math.comb(total + len(top), len(top))
+    shifts, below = (_simplex_plan if cells <= _CHUNK_ENTRIES
+                     else _simplex_plan.__wrapped__)(len(top), total)
+    # l[b] = v with room r = total - |l[:b]| skips the cells of l[b] < v
+    axes = np.arange(1, len(top) + 1)
+    room = total + degrees - np.cumsum(degrees, axis=1)
+    skips = below[axes, room + 1] - below[axes, room + 1 - degrees]
+    return (cells,), shifts, skips.sum(axis=1)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
-def _dp_plan(top: tuple[int, ...], total: int) -> tuple[dict, list]:
-    """The DP's coefficient index, each j <= top with |j| <= total in lex
-    order mapped to its position, and per axis k the positions (dst, src)
-    of j + e_k and j, the shift by w_k."""
-    cells = [()]
-    for t in top:
-        cells = [c + (v,) for c in cells
-                 for v in range(min(t, total - sum(c)) + 1)]
-    where = {c: p for p, c in enumerate(cells)}
-    below = [(p, c) for p, c in enumerate(cells) if sum(c) < total]
-    shifts = []
-    for a, t in enumerate(top):
-        pairs = [(where[c[:a] + (c[a] + 1,) + c[a + 1:]], p)
-                 for p, c in below if c[a] < t]
-        if pairs:
-            shifts.append((a + 1, *map(_as_slice, np.array(pairs).T)))
-    return where, shifts
+def _simplex_plan(axes: int, total: int):
+    """The shifts of the simplex |j| <= total on ``axes`` axes, as for
+    :func:`_dp_plan`, and ``below``: below[b, x] counts the j on axes b..
+    with |j| < x, so the cells before j[b] = v among those with room r on
+    axes b.. are below[b + 1, r + 1] - below[b + 1, r + 1 - v]."""
+    count = np.ones((axes + 1, total + 1), dtype=np.int64)
+    for b in reversed(range(axes)):
+        count[b] = np.cumsum(count[b + 1])
+    below = np.zeros((axes + 1, total + 2), dtype=np.int64)
+    below[:, 1:] = np.cumsum(count, axis=1)
+    # every j with |j| < total moves to j + e_k on each axis k.  Walk them
+    # axis by axis, each prefix at its position with its room r[b] = total -
+    # |j[:b]| and drift, the sum of count[b + 1, r[b + 1]] - count[b + 1,
+    # r[b]] over the axes so far; j + e_k lies count[k + 1, r[k + 1]] +
+    # that sum over the axes past k further on
+    pos = drift = np.zeros(1, dtype=np.int64)
+    room = np.full(1, total)
+    ahead = np.zeros((0, 1), dtype=np.int64)
+    for b in range(axes):
+        i = np.repeat(np.arange(len(room)), room)
+        v = np.arange(len(i)) - np.repeat(np.cumsum(room) - room, room)
+        r = room[i]
+        pos = pos[i] + below[b + 1, r + 1] - below[b + 1, r + 1 - v]
+        room = r - v
+        drift = drift[i] + count[b + 1, room] - count[b + 1, r]
+        ahead = np.vstack([ahead[:, i], count[b + 1, room] - drift])
+    # a run of positions, as axis 0's always is, is added to as a slice
+    runs = [slice(int(d[0]), int(d[-1]) + 1) if d[-1] - d[0] == len(d) - 1
+            else d for d in ahead + (pos + drift)]
+    return [(k + 1, (slice(None), runs[k]), (slice(None), pos))
+            for k in range(axes)], below
 
 
 def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
@@ -123,15 +166,16 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     (n, q) array: shape (n_degrees,) or (n, n_degrees), whose transpose is
     C-contiguous.  Entries with |l| > sum(m) come out exactly 0.
 
-    All rows run through the same DP passes over the coefficients j <= top
-    with |j| <= total, top the largest degree on each axis and total the
-    largest |l|: each j reads only coefficients below it, so its value is
-    the one of the untruncated product.  Before digit j the rows are put
-    in order of m[j], most first, so pass a of digit j is one copy and one
-    shifted add per axis on the leading rows with m[j] > a: each row sees
-    the operations of its own DP, and its values equal that DP bit for
-    bit.  Rows go in chunks of at most ``_CHUNK_ENTRIES`` coefficients, or
-    of one row where its coefficients alone are more.
+    All rows run through the same DP passes over the coefficients of the
+    box j <= top or, where fewer, the simplex |j| <= total, top the largest
+    degree on each axis and total the largest |l|: each j reads only
+    coefficients below it, so its value is the one of the untruncated
+    product.  Before digit j the rows are put in order of m[j], most
+    first, so pass a of digit j is one copy and one shifted add per axis
+    on the leading rows with m[j] > a: each row sees the operations of its
+    own DP, and its values equal that DP bit for bit.  Rows go in chunks
+    of at most ``_CHUNK_ENTRIES`` coefficients, or of one row where its
+    coefficients alone are more.
     """
     m = _check_counts(m, q, ndims=(1, 2))
     rows = m.reshape(-1, q)
@@ -140,22 +184,24 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
     out = np.empty((len(degrees), len(rows)), dtype=complex).T
     if not len(rows):
         return out
-    top = tuple(np.max(degrees, axis=0, initial=0).tolist())
-    total = int(np.max(degrees.sum(axis=1), initial=0))
+    listed = degrees.tolist()
+    top = tuple(map(max, zip(*listed))) if listed else (0,) * (q - 1)
+    total = max(map(sum, listed), default=0)
     passes = int(rows.sum(axis=1).max())
-    # per coefficient: the chunk and its copy, its index tuple of q - 1
-    # slots and at most q - 1 shift pairs
+    # the chunk and its copy; for the simplex, its plan's positions of
+    # j + e_k, q - 1 times the j with |j| < total, built and added to once
     n = dp_cells(top, total)
-    dp_budget(f"the Krawtchouk DP at q={q}, |m|={passes}", len(rows),
-              passes, q, n, entries=3 * q * n)
-    index, shifts = _dp_plan(top, total)
-    picks = [index[l] for l in map(tuple, degrees.tolist())]
+    boxed = total >= sum(top) or n < math.comb(total + q - 1, q - 1)
+    pairs = 0 if boxed else (q - 1) * math.comb(total + q - 2, q - 1)
+    dp_budget(f"the Krawtchouk DP at q={q}, |m|={passes}", q,
+              [(len(rows), passes, n)], entries=2 * n + 2 * pairs)
+    shape, shifts, picks = _dp_plan(top, total, boxed, degrees)
     theta = roots(q)
-    step = max(1, _CHUNK_ENTRIES // len(index))
+    step = max(1, _CHUNK_ENTRIES // n)
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
-        coef = np.zeros((len(chunk), len(index)), dtype=complex)
-        coef[:, 0] = 1.0
+        coef = np.zeros((len(chunk),) + shape, dtype=complex)
+        coef.reshape(-1, n)[:, 0] = 1.0
         held = list(range(len(chunk)))  # coef row p holds chunk row held[p]
         for j, column in enumerate(chunk.T.tolist()):
             # the rows by m[j], most first: pass a of digit j runs on the
@@ -170,8 +216,8 @@ def krawtchouk_values(m, degrees, q: int) -> np.ndarray:
                 head = coef[:live]
                 old = head.copy()
                 for k, dst, src in shifts:
-                    head[:, dst] += theta[(k * j) % q] * old[:, src]
-        out[start:start + len(chunk)][held] = coef[:, picks]
+                    head[dst] += theta[(k * j) % q] * old[src]
+        out[start:start + len(chunk)][held] = coef.reshape(-1, n)[:, picks]
     return out if m.ndim == 2 else out[0]
 
 
@@ -255,10 +301,10 @@ def _check_count_budget(q: int, d: int, max_degree: int | None,
     cap = d if max_degree is None else max(0, min(max_degree, d))
     cells = dp_cells((cap,) * (q - 1), cap)
     entries = n * cells
-    budget(f"{n} count vectors and {entries} table entries at q={q}, "
-           f"d={d}, degree <= {cap}", entries=entries,
-           steps=(n + dual * cells) * d * q,
-           touched=((1 + dual) * d * q + gram * cells) * entries)
+    dp_budget(f"{n} count vectors and {entries} table entries at q={q}, "
+              f"d={d}, degree <= {cap}", q,
+              [(n, d, cells)] + dual * [(cells, d, n)], entries=entries,
+              touched=gram * cells * entries)
     return cap
 
 
@@ -316,9 +362,9 @@ def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float
 
 def route_a_budget(q: int, d: int, degrees) -> None:
     """Refuse route A's DPs, one per degree in ``degrees``, from (q, d)."""
-    steps = math.comb(d + q - 1, q - 1) * d * q
-    budget(f"route A at q={q}, d={d}", steps=steps * len(degrees),
-           touched=steps * sum(dp_cells(l, sum(l)) for l in degrees))
+    rows = math.comb(d + q - 1, q - 1)
+    dp_budget(f"route A at q={q}, d={d}", q,
+              [(rows, d, dp_cells(l, sum(l))) for l in degrees])
 
 
 def kappa_route_counts(law: IncrementLaw, l) -> complex:

@@ -444,14 +444,15 @@ def check_table(check: str, q: int, alpha: float, mc: int | None, seed: int
     elif check == "limit-kraw":
         # route B's kept expansion runs one DP per degree, whatever the
         # points: 4 passes over the coefficients of |a| <= 4; then its loop
-        # runs per degree at each point
+        # runs per degree at each point, at a cost set by |l|
         points = 10
-        dp_budget(f"limit-kraw at q={q}", math.comb(q + 3, 4), 4, q,
-                  dp_cells((4,) * (q - 1), 4))
+        loop = [(math.comb(s + q - 2, s), route_b_cost((s,), q, 1))
+                for s in range(5)]
+        dp_budget(f"limit-kraw at q={q}", q,
+                  [(math.comb(q + 3, 4), 4, dp_cells((4,) * (q - 1), 4))],
+                  steps=points * sum(c * steps for c, (steps, _) in loop),
+                  touched=points * sum(c * seen for c, (_, seen) in loop))
         degrees = degree_indices(q, 5, 4)
-        costs = [route_b_cost(l, q, 1) for l in degrees]
-        budget(f"limit-kraw at q={q}", steps=points * sum(c[0] for c in costs),
-               touched=points * sum(c[1] for c in costs))
         stat = 0.0
         for _ in range(points):
             m = full_type_vector(rng.standard_normal(q - 1), q)

@@ -153,6 +153,13 @@ EDGE_ARGVS = [
      "--m", ",".join(["1", "1", "1"] + ["0"] * 63)],
     ["verify", "--q", "70", "--d", "1"],
     ["limit", "--check", "transform", "--q", "66"],
+    # single degrees over a large box: 251001 coefficients at q = 3, a 5^9
+    # box at q = 10; and plans sized over 999999 axes
+    ["krawtchouk", "--q", "3", "--d", "1000", "--l", "500,500",
+     "--m", "400,300,300"],
+    ["krawtchouk", "--q", "10", "--d", "36", "--l", ",".join(["4"] * 9),
+     "--m", ",".join(["4"] * 9 + ["0"])],
+    ["limit", "--check", "limit-kraw", "--q", "1000000"],
     # real q = 2 fields transformed inside their result: potts over three
     # Monte-Carlo blocks at two betas, a field CSV, the quadratic forms
     *(["potts", "--law", _Q2.format(d=6), "--alpha", "0.5", "--beta", beta,

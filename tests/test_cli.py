@@ -713,9 +713,8 @@ def test_limit_kraw_refuses_a_large_q_before_building(q):
 
 
 def test_limit_kraw_at_q8_is_inside_the_budget(monkeypatch):
-    # route B's DPs are charged 13964 steps at q = 8 and its loop at the 10
-    # points 825585; the routes themselves take seconds there, so both are
-    # stubbed
+    # route B's DPs and its loop at the 10 points are charged 839548 steps
+    # at q = 8; the routes themselves take seconds there, so both are stubbed
     monkeypatch.setattr(limits, "limit_krawtchouk_series", lambda m, l, q: 0j)
     monkeypatch.setattr(limits, "limit_krawtchouk_hermite", lambda m, l, q: 0j)
     code, out, err = run_main(["limit", "--check", "limit-kraw", "--q", "8"])
@@ -789,6 +788,10 @@ OVER_BUDGET = {
     "verify-2^13": ["verify", "--q", "2", "--d", "13"],
     "limit-kraw-16": ["limit", "--check", "limit-kraw", "--q", "16"],
     "limit-kraw-400": ["limit", "--check", "limit-kraw", "--q", "400"],
+    # plans over q - 1 = 999999 axes: sized without a product over every axis
+    "limit-kraw-10^6": ["limit", "--check", "limit-kraw", "--q", "1000000"],
+    "orthogonality-300000-12": ["krawtchouk", "--q", "300000", "--d", "12",
+                                "--check", "orthogonality"],
     "eigen-2^20": ["eigen", "--law", UNIFORM_2_20],
     "green-row-2^20": ["green", "--law", UNIFORM_2_20, "--alpha", "0.5",
                        "--row", ",".join(["0"] * 20)],

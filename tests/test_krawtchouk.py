@@ -292,6 +292,44 @@ def test_batched_dp_spans_chunks():
         assert _same_bits(got[i], _per_row_dp(counts[i], degrees, q))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_dp_over_a_box_or_a_simplex_equals_the_per_row_dp(q):
+    # scattered degree lists run over the box below them where it is
+    # fewer, else over the simplex of their largest |l|: (2, 1) a box of 6
+    # against 10, (3, 0) and (0, 3) a simplex of 10 against 16
+    rng = np.random.default_rng(10 + q)
+    rows = np.array([m for d in range(5) for m in kw.count_vectors(q, d)])
+    drawn = [rng.integers(0, 4, size=(rng.integers(1, 5), q - 1))
+             for _ in range(6)]
+    for degrees in ([[(2, 1)], [(3, 0), (0, 3)]] if q == 3 else []) + drawn:
+        want = np.array([_per_row_dp(m, degrees, q) for m in rows])
+        assert _same_bits(kw.krawtchouk_values(rows, degrees, q), want)
+
+
+def test_large_simplex_plans_are_built_per_call():
+    # C(129, 2) = 8256 coefficients, past _CHUNK_ENTRIES: not kept
+    degrees = [(127, 0), (0, 127), (60, 67)]
+    kw._simplex_plan.cache_clear()
+    got = kw.krawtchouk_values((2, 1, 1), degrees, 3)
+    assert kw._simplex_plan.cache_info().currsize == 0
+    assert _same_bits(got, _per_row_dp((2, 1, 1), degrees, 3))
+
+
+def test_a_single_degree_is_charged_its_box_twice(monkeypatch):
+    # the box below one degree is sliced, so the DP holds its chunk and the
+    # copy alone: 2 * 5^9 entries at q = 10, inside the entry budget
+    charged = []
+
+    def stop(what, entries=0, steps=0, touched=0):
+        charged.append(entries)
+        raise lattice.RangeError(what)
+
+    monkeypatch.setattr(kw, "budget", stop)
+    with pytest.raises(lattice.RangeError):
+        kw.krawtchouk_values((4,) * 9 + (0,), [(4,) * 9], 10)
+    assert charged == [2 * 5**9] and charged[0] <= lattice.ENTRY_BUDGET
+
+
 @pytest.mark.parametrize("m", [(1, -1, 2), (1, 2), (1, 2, 3, 4),
                                [(1, 1, 1), (0, 1)], [(1, 1, 1), (2, -1, 0)],
                                [[(1, 1, 1)]]])
