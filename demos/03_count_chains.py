@@ -23,14 +23,16 @@ print("\n== duality between degree and count indices ==")
 print("max residual:", kw.max_duality_residual(q, d, max_degree=3))
 
 print("\n== grouped eigenvalues, two independent routes ==")
-for l in [(1, 0), (1, 1), (2, 1)]:
-    a = kw.kappa_route_counts(law, l)      # h_l E[Q_l(counts of V)]
-    b = kw.kappa_route_transform(law, l)   # E[prod xi[k]^l[k]]
+degrees = [(1, 0), (1, 1), (2, 1)]
+route_a = kw.kappa_route_counts(law, degrees)     # h_l E[Q_l(counts of V)]
+route_b = kw.kappa_route_transform(law, degrees)  # E[prod xi[k]^l[k]]
+for l, a, b in zip(degrees, route_a, route_b):
     print(f"  l = {l}: counts {a.real:.6f}, transform {b.real:.6f}, "
           f"gap {abs(a - b):.1e}")
 
 print("\n== count kernel equals brute-force lumping of P^t ==")
-kappas = {l: kw.kappa_from_law(law, l) for l in kw.degree_indices(q, d)}
+degrees = kw.degree_indices(q, d)
+kappas = dict(zip(degrees, kw.kappa_from_law(law, degrees)))
 P = walks.transition_matrix(law.spectrum())
 for t in (1, 2, 3):
     kernel, counts = kw.count_chain_kernel(kappas, q, d, t)

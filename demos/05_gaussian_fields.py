@@ -40,7 +40,8 @@ dual = fields.dual_field(drv, 2, 3)[1 + 0 + 4]  # rank of (1,0,1)
 print("class sums rebuild the dual field:", abs(total - dual) < 1e-9)
 
 print("\ncount-indexed field from the grouped eigenvalues")
-kappas = {l: kw.kappa_from_law(law, l) for l in kw.degree_indices(2, 3)}
+degrees = kw.degree_indices(2, 3)
+kappas = dict(zip(degrees, kw.kappa_from_law(law, degrees)))
 cf = fields.sample_count_field(kappas, 2, 3, alpha, seed=3, n_samples=20_000)
 print("count states:", cf.counts)
 print("variance per count state:",

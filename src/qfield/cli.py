@@ -295,6 +295,7 @@ def cmd_krawtchouk(args):
 def cmd_kappa(args):
     law = _law_from_arg(args.law)
     l = _int_list(args.l, "$.l")
+    walks._check_degree(l, law.q)  # one degree: the routes read [] as a list
     out = {"l": l}
     if args.route in ("transform", "both"):
         kap = krawtchouk.kappa_route_transform(law, l)

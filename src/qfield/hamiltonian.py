@@ -165,10 +165,10 @@ def grouping_identity_residual(law, alpha: float) -> float:
     n = size(law.q, law.d)
     ungrouped = 0.5 * log_z_density_gap(law.spectrum(), alpha)
     grouped = 0.0
-    for l in degree_indices(law.q, law.d):
-        kap = kappa_from_law(law, l).real
+    degrees = degree_indices(law.q, law.d)
+    for l, kap in zip(degrees, kappa_from_law(law, degrees)):
         grouped += -0.5 * scale_constant_inv(l, law.d) \
-            * math.log1p(-alpha * kap) / n
+            * math.log1p(-alpha * kap.real) / n
     return abs(ungrouped - grouped)
 
 

@@ -15,10 +15,10 @@ refuses its DPs ahead.  The inverse squared norms h_l^-1 =
 d!/((d-|l|)! prod l[k]!) are computed in integer arithmetic.
 
 These polynomials diagonalize the type-count chain of walks with
-exchangeable increments.  Grouped eigenvalues kappa_l come from the law
-in one of two ways: route A sums h_l P(m) Q_l(m) over the law's
-``count_law()``, route B integrates ``walks.xi_powers`` (prod_k
-xi[k]^l[k]) over its ``mixing_measure()``.  The t-step count kernel is
+exchangeable increments.  Grouped eigenvalues kappa_l, for one l or a list,
+come by route A, h_l P(m) Q_l(m) summed over the law's ``count_law()``
+(built once, one DP for a list), or by route B, prod_k xi[k]^l[k] averaged
+over its ``mixing_measure()``.  The t-step count kernel is
 
     p(n; d) * (1 + sum_{0<|l|<=d} kappa_l^t h_l Q_l(m) conj(Q_l(n))).
 
@@ -360,34 +360,39 @@ def max_duality_residual(q: int, d: int, max_degree: int | None = None) -> float
     return worst
 
 
-def route_a_budget(q: int, d: int, degrees) -> None:
-    """Refuse route A's DPs, one per degree in ``degrees``, from (q, d)."""
-    rows = math.comb(d + q - 1, q - 1)
-    dp_budget(f"route A at q={q}, d={d}", q,
-              [(rows, d, dp_cells(l, sum(l))) for l in degrees])
-
-
-def kappa_route_counts(law: IncrementLaw, l) -> complex:
-    """Route A: kappa_l = h_l sum_m P(counts of V = m) Q_l(m)."""
-    l = _check_degree(l, law.q)
-    route_a_budget(law.q, law.d, [l])
-    h_l = 1.0 / scale_constant_inv(l, law.d)
+def kappa_route_counts(law: IncrementLaw, l):
+    """Route A: kappa_l = h_l sum_m P(counts of V = m) Q_l(m), for one l of
+    shape (q-1,) or each of a list of shape (n, q-1), from one count law and
+    one DP, whose plan and output entries are refused first."""
+    one = len(l) > 0 and np.ndim(l[0]) == 0
+    degrees = [_check_degree(v, law.q) for v in ([l] if one else l)]
+    rows = math.comb(law.d + law.q - 1, law.q - 1)
+    cells = dp_cells(tuple(map(max, zip(*degrees))),
+                     max(map(sum, degrees), default=0))
+    dp_budget(f"route A at q={law.q}, d={law.d}", law.q,
+              [(rows, law.d, cells)], entries=rows * len(degrees))
     counts = law.count_law()
-    values = krawtchouk_values(list(counts), [l], law.q)[:, 0].tolist()
-    return complex(h_l * sum(p * v for p, v in zip(counts.values(), values)))
+    values = krawtchouk_values(list(counts), degrees, law.q).T
+    kappas = [complex(1.0 / scale_constant_inv(l, law.d)
+                      * sum(map(operator.mul, counts.values(), row.tolist())))
+              for l, row in zip(degrees, values)]
+    return kappas[0] if one else kappas
 
 
-def kappa_route_transform(law: IncrementLaw, l) -> complex:
-    """Route B: kappa_l = E[prod_k xi[k]^l[k]] over the mixing measure."""
-    _check_degree(l, law.q)  # before the (n, q) mixing measure is built
+def kappa_route_transform(law: IncrementLaw, l):
+    """Route B: kappa_l = E[prod_k xi[k]^l[k]] over the mixing measure, for
+    one l or each of a list, from one xi matrix."""
+    one = len(l) > 0 and np.ndim(l[0]) == 0  # checked before the measure
+    degrees = [_check_degree(v, law.q) for v in ([l] if one else l)]
     weights, pmfs = law.mixing_measure()
     xi = np.stack([xi_transform(p) for p in pmfs])
-    return complex(weights @ xi_powers(xi, l))
+    kappas = [complex(weights @ xi_powers(xi, l)) for l in degrees]
+    return kappas[0] if one else kappas
 
 
-def kappa_from_law(law: IncrementLaw, l) -> complex:
-    """Grouped eigenvalue kappa_l by the transform route, or by the
-    counts route for laws without a mixing measure."""
+def kappa_from_law(law: IncrementLaw, l):
+    """Grouped eigenvalue kappa_l, for one l or each of a list, by route B,
+    or by route A for laws without a mixing measure."""
     try:
         return kappa_route_transform(law, l)
     except ContractError:

@@ -24,6 +24,10 @@ def _check(name, statistic, tol):
 def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
     n = lattice.size(q, d)
     lattice.budget(f"verify at {n} points, with a dense P", entries=n * n)
+    # route A over |l| <= deg_cap runs a DP no larger than the table's: one
+    # charge refuses it, the table, its dual DP and Gram product up front
+    deg_cap = min(d, 3)
+    krawtchouk._check_count_budget(q, d, deg_cap, dual=True, gram=True)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -66,16 +70,11 @@ def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
         eigmin = float(np.linalg.eigvalsh((g.matrix + g.matrix.T) / 2).min())
         checks.append(_check("green_psd", max(0.0, -eigmin), 1e-10 * tol_scale))
 
-    # grouped eigenvalue routes and the multinomial grouping identity; route
-    # A's steps at l = 0 are known from (q, d) before any degree is listed,
-    # and its run at every degree once they are
-    deg_cap = min(d, 3)
-    krawtchouk.route_a_budget(q, d, [()])
+    # grouped eigenvalue routes and the multinomial grouping identity
     degs = krawtchouk.degree_indices(q, d, deg_cap)
-    krawtchouk.route_a_budget(q, d, degs)
-    route_gap = max(abs(krawtchouk.kappa_route_counts(law, l)
-                        - krawtchouk.kappa_route_transform(law, l))
-                    for l in degs)
+    route_gap = max(abs(a - b) for a, b in zip(
+        krawtchouk.kappa_route_counts(law, degs),
+        krawtchouk.kappa_route_transform(law, degs)))
     checks.append(_check("kappa_routes", route_gap, 1e-10 * tol_scale))
     checks.append(_check("log_grouping_identity",
                          hamiltonian.grouping_identity_residual(law, alpha),
@@ -91,8 +90,8 @@ def run_suite(q: int, d: int, seed: int = 0, tol_scale: float = 1.0) -> dict:
 
     # count chain vs brute-force lumping
     if n <= 256:
-        kap = {l: krawtchouk.kappa_from_law(law, l)
-               for l in krawtchouk.degree_indices(q, d)}
+        every = krawtchouk.degree_indices(q, d)
+        kap = dict(zip(every, krawtchouk.kappa_from_law(law, every)))
         kern, _ = krawtchouk.count_chain_kernel(kap, q, d, 2)
         p2 = np.linalg.matrix_power(walks.transition_matrix(spec), 2)
         lumped = krawtchouk.lump_by_type(p2, q, d)

@@ -65,6 +65,17 @@ def _ramp(q: int, d: int) -> str:
                        "pmf": [k / total for k in range(1, q + 1)]})
 
 
+def _sparse(q: int, d: int) -> str:
+    """The built-in sparse_exchangeable law (``walks.builtin_law``), d >= 2."""
+    n = q * q
+    joint = [0.4 / n] * n
+    for k in range(q):
+        joint[k * (q + 1)] += 0.3 / q
+    joint[0] += 0.3
+    return json.dumps({"variant": "sparse_exchangeable", "q": q, "d": d,
+                       "c": 2, "joint_pmf": joint})
+
+
 EDGE_ARGVS = [
     # --config and --out
     ["green", "--law", _LAZY, "--alpha", "0.5",
@@ -143,6 +154,12 @@ EDGE_ARGVS = [
     ["verify", "--q", "101", "--d", "1"],
     ["verify", "--q", "102", "--d", "1"],
     ["verify", "--q", "400", "--d", "1"],
+    # route A over every degree in one DP: the grouping identity of a law
+    # without a mixing measure, and verify charged once before its first
+    # check, inside the budget and past it
+    *(["partition", "--law", _sparse(q, d), "--alpha", "0.5", "--beta", "1"]
+      for q, d in ((8, 4), (16, 3), (64, 2))),
+    *(["verify", "--q", q, "--d", "1"] for q in ("300", "600", "1000")),
     # more than 64 types, past numpy's array axes were there one per w_k
     ["kappa", "--law", _UNIFORM.format(q=70, d=1),
      "--l", ",".join(["1"] + ["0"] * 68)],

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfield import _mc, cli, limits, walks
+from qfield import _mc, cli, limits, verify, walks
 
 LAZY_LAW = json.dumps({
     "variant": "definetti_mixture", "q": 2, "d": 2,
@@ -375,6 +375,8 @@ def law_with(**fields):
     ["limit", "--check", "hermite", "--q", "0"],
     ["krawtchouk", "--q", "0", "--d", "3", "--check", "orthogonality"],
     ["kappa", "--law", UNIFORM_22, "--l", "-1"],
+    ["kappa", "--law", UNIFORM_22, "--l", ""],
+    ["kappa", "--law", UNIFORM_22, "--l", ",", "--route", "counts"],
     ["hamiltonian", "--law", UNIFORM_22, "--alpha", "0", "--seed", "1"],
     ["verify", "--q", "2", "--d", "1", "--tol", "0"],
     ["verify", "--q", "2", "--d", "1", "--tol", "-1"],
@@ -400,7 +402,8 @@ def law_with(**fields):
         "q-string", "q-float",
         "q-null", "shift-string", "pmf-string", "out-unwritable",
         "samples-0", "seed-negative", "n-vectors-negative", "potts-n-negative",
-        "limit-q-0", "krawtchouk-q-0", "degree-negative", "hamiltonian-alpha-0",
+        "limit-q-0", "krawtchouk-q-0", "degree-negative", "degree-empty",
+        "degree-empty-counts", "hamiltonian-alpha-0",
         "verify-tol-0", "verify-tol-negative", "limit-mc-0", "spec-pmf-nan",
         "spec-weight-nan", "spec-phi-nan", "spec-phi-inf",
         "green-matrix-above-limit", "hamiltonian-above-limit", "limit-mc-1",
@@ -875,9 +878,23 @@ def test_verify_refuses_route_a_before_listing_degrees():
     finally:
         tracemalloc.stop()
     assert code == 2, err
-    assert err == ("config error: route A at q=4096, d=1: needs 16793600 "
+    assert err == ("config error: 4096 count vectors and 16777216 table "
+                   "entries at q=4096, d=1, degree <= 1: needs 234881024 "
                    "steps, over the step budget of 1048576\n")
     assert peak <= 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("q", ["600", "1000"])
+def test_verify_refuses_before_its_first_check(monkeypatch, q):
+    # route A, the table, its dual DP and Gram product are charged in one
+    # plan before the transform round trip, the first check, runs
+    calls, dft = [], verify.lattice.dft
+    monkeypatch.setattr(verify.lattice, "dft",
+                        lambda *args, **kw: calls.append(1) or dft(*args, **kw))
+    code, _, err = run_main(["verify", "--q", q, "--d", "1"])
+    assert code == 2, err
+    assert calls == []
+    assert err.startswith(f"config error: {q} count vectors and "), err
 
 
 def _mostly(big, small):

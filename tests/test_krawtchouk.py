@@ -130,6 +130,31 @@ def test_kappa_sparse_vanishes_beyond_support():
     assert abs(kw.kappa_route_counts(law, (2,))) > 1e-6
 
 
+_LIST_LAWS = {f"{family} ({q},{d})": walks.lazy_walk(q, d, [0.3, 0.7])
+              if family == "lazy" else walks.builtin_law(family, q, d)
+              for family in ("lazy", "product_iid", "sparse_exchangeable")
+              for q, d in ((2, 7), (3, 5), (4, 4), (6, 2))}
+
+
+@pytest.mark.parametrize("route", [kw.kappa_route_counts,
+                                   kw.kappa_route_transform, kw.kappa_from_law],
+                         ids=["route-a", "route-b", "from-law"])
+@pytest.mark.parametrize("name", _LIST_LAWS)
+def test_kappa_over_a_list_equals_the_per_degree_calls(route, name):
+    # each entry of one call over a list, or over its (n, q - 1) array, has
+    # the bits of the call at that degree alone
+    law = _LIST_LAWS[name]
+    degrees = kw.degree_indices(law.q, law.d)
+    if route is kw.kappa_route_transform and name.startswith("sparse"):
+        with pytest.raises(walks.ContractError):  # no mixing measure
+            route(law, degrees)
+        return
+    want = [repr(route(law, l)) for l in degrees]
+    assert list(map(repr, route(law, degrees))) == want
+    assert list(map(repr, route(law, np.array(degrees[::-1])))) == want[::-1]
+    assert route(law, []) == []
+
+
 @pytest.mark.parametrize("q,d,t", [(2, 3, 0), (2, 3, 1), (2, 3, 2), (2, 3, 3),
                                    (3, 3, 2), (3, 4, 3), (2, 4, 2)])
 def test_count_chain_matches_lumping_oracle(q, d, t):
@@ -510,6 +535,8 @@ _WORK_CASES = {
     "orthogonality": lambda: kw.orthogonality_residual(3, 6, 4),
     "duality": lambda: kw.max_duality_residual(4, 8, 4),
     "route-a": lambda: kw.kappa_route_counts(_LAW, (2, 1)),
+    "route-a-list": lambda: kw.kappa_route_counts(_LAW,
+                                                  kw.degree_indices(3, 6)),
     "route-b": lambda: kw.kappa_route_transform(_LAW, (2, 1)),
     "green-grouped": lambda: green.green_grouped(
         lambda l: 0.5, 3, 5, 0.4, (3, 1, 1), (1, 2, 2)),
@@ -548,3 +575,14 @@ def test_every_dp_is_charged_its_work_and_plans_charge_ahead(monkeypatch,
     if name == "duality":  # the dual DP, the second, is charged before the first
         assert any(amount >= work[1] for amount, n_before in plans
                    if n_before == 0), events
+
+
+def test_route_a_over_a_list_is_one_count_law_and_one_dp(monkeypatch):
+    law = walks.lazy_walk(3, 6, [0.3, 0.7])
+    built, count_law = [], law.count_law
+    monkeypatch.setattr(law, "count_law",
+                        lambda: built.append(1) or count_law())
+    events = _record_charges_and_dps(monkeypatch)
+    kw.kappa_route_counts(law, kw.degree_indices(3, 6))
+    assert len(built) == 1
+    assert [kind for kind, _ in events].count("dp") == 1
